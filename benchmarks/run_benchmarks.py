@@ -2,7 +2,8 @@
 
 Runs the Section III-D heuristic-solver scaling benchmark and the Section V-C
 scheduler-timing benchmark without pytest and records wall-clock per stage,
-LP counts and cache hit rates to ``BENCH_solver.json`` next to this file.
+LP counts and cache hit rates to ``BENCH_solver.json`` at the repository
+root, where tooling discovers ``BENCH_*.json`` files.
 
 The record is a *trajectory*: each invocation appends one entry (git revision,
 date, per-stage timings) to the ``entries`` list instead of overwriting the
@@ -474,8 +475,8 @@ def main() -> None:
     parser.add_argument(
         "--output",
         type=Path,
-        default=BENCH_DIR / "BENCH_solver.json",
-        help="where to append the benchmark record (default: benchmarks/BENCH_solver.json)",
+        default=BENCH_DIR.parent / "BENCH_solver.json",
+        help="where to append the benchmark record (default: BENCH_solver.json at the repo root)",
     )
     args = parser.parse_args()
 
@@ -510,12 +511,7 @@ def main() -> None:
 
     trajectory = load_trajectory(args.output)
     trajectory["entries"].append(entry)
-    serialized = json.dumps(trajectory, indent=2) + "\n"
-    args.output.write_text(serialized)
-    # Tooling discovers perf trajectories as BENCH_*.json at the repo root, so
-    # mirror the canonical benchmarks/ copy there on every append.
-    if args.output.resolve() == (BENCH_DIR / "BENCH_solver.json").resolve():
-        (BENCH_DIR.parent / "BENCH_solver.json").write_text(serialized)
+    args.output.write_text(json.dumps(trajectory, indent=2) + "\n")
 
     print(f"\nappended entry {len(trajectory['entries'])} ({entry['revision']}) to {args.output}")
     print("trajectory at the largest scale "

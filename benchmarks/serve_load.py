@@ -22,8 +22,8 @@ Usage::
     PYTHONPATH=src python benchmarks/serve_load.py [--requests 240]
         [--distinct 12] [--clients 8] [--executor thread] [--append]
 
-``--append`` records the result as one entry in ``BENCH_solver.json`` (and
-the repo-root mirror), alongside the solver-benchmark trajectory.
+``--append`` records the result as one entry in the repo-root
+``BENCH_solver.json``, alongside the solver-benchmark trajectory.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def main() -> int:
     parser.add_argument(
         "--append",
         action="store_true",
-        help="append the result to benchmarks/BENCH_solver.json (and the root mirror)",
+        help="append the result to BENCH_solver.json at the repo root",
     )
     args = parser.parse_args()
 
@@ -344,7 +344,7 @@ def main() -> int:
         )
 
     if args.append:
-        output = BENCH_DIR / "BENCH_solver.json"
+        output = BENCH_DIR.parent / "BENCH_solver.json"
         trajectory = load_trajectory(output)
         entry = {
             "revision": git_revision(),
@@ -359,9 +359,7 @@ def main() -> int:
             "serve_throughput": result,
         }
         trajectory["entries"].append(entry)
-        serialized = json.dumps(trajectory, indent=2) + "\n"
-        output.write_text(serialized)
-        (BENCH_DIR.parent / "BENCH_solver.json").write_text(serialized)
+        output.write_text(json.dumps(trajectory, indent=2) + "\n")
         print(f"appended serve_throughput entry {len(trajectory['entries'])} to {output}")
     return 0
 

@@ -62,7 +62,6 @@ from repro.core.single_site import (
 )
 from repro.core.solution import NetworkPlan
 from repro.lpsolver import SolverOptions
-from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
 from repro.lpsolver.highs_backend import HighsSolveContext
 from repro.parallel.executors import (
     EXECUTOR_KINDS,
@@ -120,7 +119,7 @@ class SearchSettings:
     #: Evaluate sequential-search moves on a persistent mutable HiGHS model
     #: (column/row deltas + projected-basis warm starts) instead of
     #: rebuilding the LP per move.  ``None`` (default) auto-enables whenever
-    #: the direct backend supports the problem; False forces rebuilds.
+    #: the grid has at least two epochs; False forces rebuilds.
     incremental_lp: Optional[bool] = None
     #: Adaptive epoch grid: > 1 runs the filter and annealing search on a
     #: grid whose epochs are this factor coarser, then re-solves the best
@@ -141,17 +140,9 @@ class SearchSettings:
     #: Stage-2 filter pricing: solve each pricing chunk as one block-diagonal
     #: mega-LP (:func:`~repro.core.screening.price_batch`) instead of per-site
     #: warm-started solves.  ``None`` (default) auto-enables whenever the
-    #: direct HiGHS backend can solve the stacked form; False forces the
-    #: per-site path.
+    #: pricing grid has at least two epochs (the stacked form needs the
+    #: row-form template); False forces the per-site path.
     filter_batch: Optional[bool] = None
-    #: Warm-start strategy of the incremental evaluator's structural moves:
-    #: ``"shape"`` restores the last optimal basis of any same-shape siting;
-    #: ``"site-block"`` transplants each leaving site's basis statuses onto
-    #: the entering site (the ROADMAP's per-site-block basis memory —
-    #: measured faster on swap-heavy mixes by
-    #: ``benchmarks/bench_basis_memory.py``, but "shape" stays the default
-    #: pending equal results on the full search trajectories).
-    basis_mode: str = "shape"
 
     def __post_init__(self) -> None:
         if self.keep_locations < 1:
@@ -172,10 +163,6 @@ class SearchSettings:
             raise ValueError("refine_tolerance cannot be negative")
         if self.refine_max_rounds < 1:
             raise ValueError("the refinement loop needs at least one round")
-        if self.basis_mode not in ("shape", "site-block"):
-            raise ValueError(
-                f"unknown basis mode {self.basis_mode!r}; expected 'shape' or 'site-block'"
-            )
         unknown = set(self.move_weights) - set(MOVES)
         if unknown:
             raise ValueError(f"unknown neighbour moves: {sorted(unknown)}")
@@ -332,11 +319,7 @@ class HeuristicSolver:
         use_batch = (
             settings.filter_batch
             if settings.filter_batch is not None
-            else (
-                _HIGHS_DIRECT_AVAILABLE
-                and pricing_problem.num_epochs >= 2
-                and self.solver_options.backend in ("auto", "highs-direct")
-            )
+            else pricing_problem.num_epochs >= 2
         )
         profiles = pricing_problem.profiles
         sitings = [
@@ -537,7 +520,7 @@ class HeuristicSolver:
                     result = self._sa_incremental.evaluate(siting)
                 else:
                     context = None
-                    if self._sa_warm_starts and _HIGHS_DIRECT_AVAILABLE:
+                    if self._sa_warm_starts:
                         shape = (
                             len(siting),
                             sum(1 for c in siting.values() if c == "small"),
@@ -601,14 +584,12 @@ class HeuristicSolver:
         if (
             parallel  # the evaluator is single-threaded; parallel chains solve cold
             or not use_incremental
-            or not IncrementalSitingEvaluator.supported(problem, self.solver_options)
+            or not IncrementalSitingEvaluator.supported(problem)
         ):
             self._sa_incremental = None
         elif self._sa_incremental is None:
             self._sa_incremental = IncrementalSitingEvaluator(
-                self._compiler,
-                options=self.solver_options,
-                basis_mode=settings.basis_mode,
+                self._compiler, options=self.solver_options
             )
         best_siting = self._initial_siting(candidates)
         best_result = self.evaluate(best_siting)

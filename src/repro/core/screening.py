@@ -205,26 +205,24 @@ def price_batch(
 
     Returns ``(location, monthly_cost, feasible)`` rows in ``sitings`` order —
     the same rows :func:`~repro.parallel.work.run_pricing_chunk` produces.
-    The stacked solve requires the direct HiGHS backend and a templatable
-    grid; when unavailable, or when the stack does not solve to optimality
-    (a single infeasible site makes the whole stack infeasible), the chunk
-    falls back to per-site warm-started solves, which classify each site
-    individually.
+    The stacked solve requires a templatable grid; when there is none, or
+    when the stack does not solve to optimality (a single infeasible site
+    makes the whole stack infeasible), the chunk falls back to per-site
+    warm-started solves, which classify each site individually.
     """
     from repro.core.provisioning import ProvisioningCompiler
 
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
-    if highs_backend.AVAILABLE and options.backend in ("auto", "highs-direct"):
-        compiled = compiler.compile_batch(sitings, enforce_spread=False)
-        if compiled is not None:
-            result = highs_backend.solve_row_form(compiled.row_form, options)
-            if result.is_optimal:
-                costs = compiled.site_costs(result.x)
-                return [
-                    (name, float(cost), True)
-                    for name, cost in zip(compiled.names, costs)
-                ]
+    compiled = compiler.compile_batch(sitings, enforce_spread=False)
+    if compiled is not None:
+        result = highs_backend.solve_row_form(compiled.row_form, options)
+        if result.is_optimal:
+            costs = compiled.site_costs(result.x)
+            return [
+                (name, float(cost), True)
+                for name, cost in zip(compiled.names, costs)
+            ]
     return price_per_site(problem, sitings, options, compiler)
 
 
@@ -245,7 +243,7 @@ def price_per_site(
 
     if compiler is None:
         compiler = ProvisioningCompiler(problem)
-    context = HighsSolveContext() if highs_backend.AVAILABLE else None
+    context = HighsSolveContext()
     rows: List[Tuple[str, float, bool]] = []
     for name, size_class in sitings:
         result = solve_provisioning(

@@ -25,7 +25,6 @@ from repro.core.provisioning import ProvisioningResult, solve_provisioning
 from repro.core.solution import NetworkPlan
 from repro.energy.profiles import LocationProfile
 from repro.lpsolver import SolverOptions
-from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
 from repro.lpsolver.highs_backend import HighsSolveContext
 from repro.parallel.executors import ExecutorFactory, result_with_serial_fallback
 
@@ -272,8 +271,8 @@ class SingleSiteAnalyzer:
 
         ``batch`` prices each chunk as one block-diagonal mega-LP
         (:func:`~repro.core.screening.price_batch`) instead of per-site
-        warm-started solves; ``None`` auto-enables it whenever the direct
-        HiGHS backend is available.  Batched costs are slim (``result`` is
+        warm-started solves; ``None`` auto-enables it whenever more than one
+        profile is priced.  Batched costs are slim (``result`` is
         ``None``); use :meth:`cost_at` when a plan is needed.
 
         ``screen_top_k`` returns only the ``k`` cheapest feasible locations,
@@ -288,11 +287,7 @@ class SingleSiteAnalyzer:
         use_batch = (
             batch
             if batch is not None
-            else (
-                _HIGHS_DIRECT_AVAILABLE
-                and len(profiles) > 1
-                and self.solver_options.backend in ("auto", "highs-direct")
-            )
+            else len(profiles) > 1
         )
         if screen_top_k is not None:
             if screen_top_k < 1:
@@ -311,7 +306,7 @@ class SingleSiteAnalyzer:
             )
 
         def price_chunk(chunk: Sequence[LocationProfile]) -> List[SingleSiteCost]:
-            context = HighsSolveContext() if _HIGHS_DIRECT_AVAILABLE else None
+            context = HighsSolveContext()
             return [
                 self.cost_at(
                     profile, capacity_kw, min_green_fraction, sources, storage,

@@ -19,9 +19,9 @@ Continuous LPs are solved by the direct HiGHS backend
 (:mod:`repro.lpsolver.highs_backend`), which feeds the compiled
 :class:`RowFormLP` straight into SciPy's bundled HiGHS bindings and supports
 basis warm-starting across structurally identical solves via
-:class:`HighsSolveContext`.  ``SolverOptions(backend="linprog")`` forces the
-``scipy.optimize.linprog`` wrapper (used for differential testing), and
-models with integer variables go to ``scipy.optimize.milp``.
+:class:`HighsSolveContext`; it is the only continuous-LP path, and importing
+this package fails when SciPy lacks the bundled bindings.  Models with
+integer variables go to ``scipy.optimize.milp``.
 
 Typical usage::
 

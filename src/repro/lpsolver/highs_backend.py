@@ -8,9 +8,9 @@ a :class:`~repro.lpsolver.model.RowFormLP` straight into a ``HighsLp`` —
 CSC arrays, row bounds and column bounds, no dense intermediates and no
 input re-validation.
 
-The backend is optional: when the bundled bindings are missing (old SciPy),
-:data:`AVAILABLE` is False and :func:`repro.lpsolver.solvers.solve_model`
-falls back to ``linprog`` transparently.
+The bindings are required: this is the only continuous-LP path, so a SciPy
+without ``scipy.optimize._highspy._core`` fails at import with a message
+naming the missing module instead of silently switching to a slower solver.
 
 Warm starts
 -----------
@@ -48,15 +48,14 @@ from repro.lpsolver import validate as _validate
 from repro.lpsolver.model import RowFormLP
 from repro.lpsolver.result import SolveResult, SolveStatus, SolverStatusError  # noqa: F401
 
-try:  # pragma: no cover - exercised implicitly by every solve
+try:
     import scipy.optimize._highspy._core as _core
-    from scipy.optimize._highspy import _highs_options as _options_mod
-
-    AVAILABLE = True
-except Exception:  # pragma: no cover - old/api-shifted scipy
-    _core = None
-    _options_mod = None
-    AVAILABLE = False
+except ImportError as exc:
+    raise ImportError(
+        "repro needs the HiGHS bindings bundled with SciPy "
+        "(module scipy.optimize._highspy._core, shipped by scipy>=1.17); "
+        f"this SciPy does not provide them: {exc}"
+    ) from exc
 
 
 class HighsSolveContext:
@@ -70,8 +69,6 @@ class HighsSolveContext:
     """
 
     def __init__(self) -> None:
-        if not AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the direct HiGHS backend is not available in this SciPy")
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self._basis = None
@@ -88,28 +85,23 @@ class HighsSolveContext:
         self._shape = shape
 
 
-if AVAILABLE:
-    _STATUS_MAP = {
-        _core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-        _core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-        _core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
-        _core.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
-        _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
-        _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
-    }
-    #: Basis statuses indexed by their integer value, for fast int -> enum
-    #: conversion when (re)installing a projected basis.
-    _BASIS_STATUSES = sorted(
-        _core.HighsBasisStatus.__members__.values(), key=lambda s: int(s)
-    )
-    _BASIC = int(_core.HighsBasisStatus.kBasic)
-    _LOWER = int(_core.HighsBasisStatus.kLower)
-    _UPPER = int(_core.HighsBasisStatus.kUpper)
-    _ZERO = int(_core.HighsBasisStatus.kZero)
-else:  # pragma: no cover
-    _STATUS_MAP = {}
-    _BASIS_STATUSES = []
-    _BASIC = _LOWER = _UPPER = _ZERO = 0
+_STATUS_MAP = {
+    _core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    _core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+    _core.HighsModelStatus.kUnboundedOrInfeasible: SolveStatus.UNBOUNDED,
+    _core.HighsModelStatus.kTimeLimit: SolveStatus.ITERATION_LIMIT,
+    _core.HighsModelStatus.kIterationLimit: SolveStatus.ITERATION_LIMIT,
+}
+#: Basis statuses indexed by their integer value, for fast int -> enum
+#: conversion when (re)installing a projected basis.
+_BASIS_STATUSES = sorted(
+    _core.HighsBasisStatus.__members__.values(), key=lambda s: int(s)
+)
+_BASIC = int(_core.HighsBasisStatus.kBasic)
+_LOWER = int(_core.HighsBasisStatus.kLower)
+_UPPER = int(_core.HighsBasisStatus.kUpper)
+_ZERO = int(_core.HighsBasisStatus.kZero)
 
 
 def _build_lp(row_form: RowFormLP) -> Any:
@@ -212,8 +204,6 @@ class MutableHighsModel:
     """
 
     def __init__(self) -> None:
-        if not AVAILABLE:  # pragma: no cover - guarded by callers
-            raise RuntimeError("the direct HiGHS backend is not available in this SciPy")
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         self.num_cols = 0

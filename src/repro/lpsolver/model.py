@@ -11,8 +11,8 @@ objective.  Constraints come in two flavours that can be mixed freely:
   families at once.
 
 Compilation produces :mod:`scipy.sparse` matrices directly — either the
-``A_ub``/``A_eq`` split consumed by ``scipy.optimize.linprog``/``milp``
-(:meth:`Model.to_matrices`) or the single row-bounded form
+``A_ub``/``A_eq`` split consumed by ``scipy.optimize.milp`` and by the
+tests' ``linprog`` oracle (:meth:`Model.to_matrices`) or the single row-bounded form
 ``row_lower <= A x <= row_upper`` consumed by the direct HiGHS backend
 (:meth:`Model.to_row_form`).  The model can also check candidate solutions
 for feasibility, which the heuristic solver uses to validate provisioning
@@ -463,7 +463,7 @@ class Model:
 
 @dataclass
 class CompiledModel:
-    """Matrix form of a model, ready for ``linprog``/``milp``.
+    """Matrix form of a model, ready for ``milp`` (or the tests' ``linprog`` oracle).
 
     ``a_ub``/``a_eq`` are :class:`scipy.sparse.csr_matrix` (or ``None`` when
     the model has no rows of that kind).

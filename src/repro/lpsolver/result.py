@@ -64,8 +64,9 @@ class SolveResult:
     message:
         Backend diagnostic message.
     solver:
-        Which backend produced the result (``"highs-direct"``, ``"linprog"``
-        or ``"milp"``).
+        Which backend produced the result (``"highs-direct"``,
+        ``"highs-mutable"`` or ``"milp"``; the tests' oracle reports
+        ``"linprog"``).
     iterations:
         Iteration count reported by the backend, if any.
     x:

@@ -1,8 +1,7 @@
 """Solver backends for the LP/MILP modelling layer.
 
-Continuous models are routed to the direct HiGHS backend
-(:mod:`repro.lpsolver.highs_backend`) when available, falling back to
-``scipy.optimize.linprog``; models with integer variables go to
+Continuous models go to the direct HiGHS backend
+(:mod:`repro.lpsolver.highs_backend`); models with integer variables go to
 ``scipy.optimize.milp``.  Constraint matrices stay sparse end-to-end.
 """
 
@@ -21,7 +20,7 @@ from repro.lpsolver.result import SolveResult, SolveStatus
 
 @dataclass
 class SolverOptions:
-    """Knobs shared across the HiGHS/linprog/milp backends.
+    """Knobs shared by the HiGHS and milp backends.
 
     Attributes
     ----------
@@ -35,31 +34,13 @@ class SolverOptions:
         Solve the LP relaxation even when the model declares integer variables.
         Used by the heuristic solver, which fixes the integer siting decisions
         itself and only needs the continuous provisioning sub-problem.
-    backend:
-        ``"auto"`` (direct HiGHS when available, else linprog),
-        ``"highs-direct"`` (require the direct backend) or ``"linprog"``
-        (force the scipy.optimize.linprog wrapper; useful for differential
-        testing of the two code paths).
     """
 
     time_limit: Optional[float] = None
     mip_gap: float = 1e-4
     presolve: bool = True
     force_continuous: bool = False
-    backend: str = "auto"
 
-    def __post_init__(self) -> None:
-        if self.backend not in ("auto", "highs-direct", "linprog"):
-            raise ValueError(f"unknown solver backend {self.backend!r}")
-
-
-_LINPROG_STATUS = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ITERATION_LIMIT,
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
-}
 
 _MILP_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -79,17 +60,13 @@ def solve_model(
 
     ``context`` (a :class:`~repro.lpsolver.highs_backend.HighsSolveContext`)
     enables basis reuse across structurally identical continuous solves; it is
-    ignored by the linprog/milp fallbacks.
+    ignored by the milp backend.
     """
     options = options or SolverOptions()
     use_milp = model.is_mixed_integer and not options.force_continuous
     if use_milp:
         return _solve_milp(model.to_matrices(), options)
-    if options.backend == "highs-direct" and not highs_backend.AVAILABLE:
-        raise RuntimeError("the direct HiGHS backend is unavailable in this SciPy build")
-    if options.backend in ("auto", "highs-direct") and highs_backend.AVAILABLE:
-        return highs_backend.solve_row_form(model.to_row_form(), options, context)
-    return _solve_linprog(model.to_matrices(), options)
+    return highs_backend.solve_row_form(model.to_row_form(), options, context)
 
 
 def _finalise(
@@ -115,24 +92,6 @@ def _finalise(
         iterations=iterations,
         x=x,
     )
-
-
-def _solve_linprog(compiled: CompiledModel, options: SolverOptions) -> SolveResult:
-    bounds = np.column_stack([compiled.lower, compiled.upper])
-    result = optimize.linprog(
-        c=compiled.cost,
-        A_ub=compiled.a_ub,
-        b_ub=compiled.b_ub,
-        A_eq=compiled.a_eq,
-        b_eq=compiled.b_eq,
-        bounds=bounds,
-        method="highs",
-        options={"presolve": options.presolve},
-    )
-    status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
-    iterations = int(getattr(result, "nit", 0) or 0)
-    x = result.x if result.x is not None else None
-    return _finalise(compiled, status, x, str(result.message), "linprog", iterations)
 
 
 def _solve_milp(compiled: CompiledModel, options: SolverOptions) -> SolveResult:

@@ -138,11 +138,10 @@ def run_pricing_chunk(task: PricingChunkTask) -> List[Tuple[str, float, bool]]:
     """Price one chunk; returns ``(location, monthly_cost, feasible)`` rows."""
     mark_process_worker()
     from repro.core.provisioning import ProvisioningCompiler, solve_provisioning
-    from repro.lpsolver.highs_backend import AVAILABLE as _HIGHS_DIRECT_AVAILABLE
     from repro.lpsolver.highs_backend import HighsSolveContext
 
     compiler = ProvisioningCompiler(task.problem)
-    context = HighsSolveContext() if _HIGHS_DIRECT_AVAILABLE else None
+    context = HighsSolveContext()
     rows: List[Tuple[str, float, bool]] = []
     for name, size_class in task.sitings:
         result = solve_provisioning(

@@ -51,19 +51,19 @@ def code_fingerprint() -> Dict[str, str]:
     point whose fingerprint does not match the running code is recomputed
     instead of silently replaying numbers an older solver produced.  The
     fingerprint names everything that can change results without changing
-    the spec — the package version, the LP backend actually in use and the
-    scientific stack underneath it.
+    the spec — the package version, the LP backend and the scientific stack
+    underneath it.  The backend is always the bundled HiGHS now; the key
+    stays so artifacts written before it became mandatory remain valid.
     """
     import numpy
     import scipy
 
     from repro import __version__
-    from repro.lpsolver import highs_backend
 
     return {
         "package_version": __version__,
         "spec_schema": str(SPEC_SCHEMA_VERSION),
-        "solver_backend": "highs-direct" if highs_backend.AVAILABLE else "linprog",
+        "solver_backend": "highs-direct",
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
     }

@@ -1,5 +1,8 @@
 """Tests for the SciPy/HiGHS solving backends."""
 
+import importlib
+import sys
+
 import pytest
 
 from repro.lpsolver import Model, SolveStatus, SolverOptions, solve_model
@@ -15,7 +18,7 @@ class TestLinearPrograms:
         model.set_objective(x + y)
         result = model.solve()
         assert result.is_optimal
-        assert result.solver in ("highs-direct", "linprog")  # continuous backends
+        assert result.solver == "highs-direct"  # the only continuous backend
         # Optimum at the intersection of the two constraints: x=1.6, y=1.2.
         assert result.value(x) == pytest.approx(1.6, abs=1e-6)
         assert result.value(y) == pytest.approx(1.2, abs=1e-6)
@@ -110,7 +113,7 @@ class TestMixedIntegerPrograms:
         model.add_constraint(2 * n >= 5)
         model.set_objective(n)
         result = solve_model(model, SolverOptions(force_continuous=True))
-        assert result.solver in ("highs-direct", "linprog")  # continuous backends
+        assert result.solver == "highs-direct"  # the only continuous backend
         assert result.value(n) == pytest.approx(2.5, abs=1e-6)
 
     def test_milp_infeasible(self):
@@ -155,3 +158,13 @@ class TestResultHelpers:
         result = model.solve()
         named = result.values_by_name({"x": x, "y": y})
         assert named == {"x": pytest.approx(1.0), "y": pytest.approx(4.0)}
+
+
+class TestBundledHighsRequired:
+    def test_missing_bindings_fail_at_import(self, monkeypatch):
+        """No silent fallback: a SciPy without the bindings is a clear error."""
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        monkeypatch.delitem(sys.modules, "repro.lpsolver.highs_backend")
+        with pytest.raises(ImportError, match=r"scipy\.optimize\._highspy\._core") as excinfo:
+            importlib.import_module("repro.lpsolver.highs_backend")
+        assert "scipy>=1.17" in str(excinfo.value)

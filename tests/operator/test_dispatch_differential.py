@@ -10,17 +10,14 @@ which the LP/rebuild counters pin down.
 import numpy as np
 import pytest
 
-from repro.lpsolver import highs_backend
 from repro.operator.dispatch import (
+    _M,
     DispatchConfig,
     RollingDispatcher,
     SiteAsset,
 )
 from repro.operator.traffic import TrafficModel
-
-pytestmark = pytest.mark.skipif(
-    not highs_backend.AVAILABLE, reason="direct HiGHS backend unavailable"
-)
+from repro.simulation.workload import VMSpec, migration_state_mb
 
 
 def _sites(needed, battery_kwh=200.0, capacity_kw=700.0):
@@ -140,6 +137,20 @@ class TestDispatchSemantics:
             previous["load"] = decision.compute_kw.copy()
 
         _replay(dispatcher, sites, demand, production, steps, horizon, check=check)
+
+    def test_migration_readback_clamps_bound_noise(self):
+        """HiGHS bound noise below zero must not crash the migration accounting."""
+        dispatcher = RollingDispatcher(_sites(8), DispatchConfig(horizon=4))
+        dispatcher._start_step = 0
+        migrate_col = 1 + _M  # first site's migrate column in the first step block
+        x = np.zeros(dispatcher._ncols_step * 4)
+        x[migrate_col] = -3.6e-12  # read back from a 720-step operate-fig06 replay
+        decision = dispatcher._extract_decision(x, objective=0.0, iterations=0)
+        assert decision.migrate_kw[0] == 0.0
+        assert migration_state_mb(decision.moved_kw, VMSpec(name="batch")) == 0.0
+        x[migrate_col] = -1.0
+        with pytest.raises(ValueError, match="cannot be negative"):
+            dispatcher._extract_decision(x, objective=0.0, iterations=0)
 
     def test_wan_budget_caps_moved_load(self):
         steps, horizon = 10, 6
