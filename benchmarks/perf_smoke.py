@@ -11,7 +11,13 @@ deterministic *counts*:
   means the vectorized screen stopped pruning (every candidate would fall
   back to an exact LP solve, the pre-two-stage behaviour).  A generous
   wall-clock ceiling on the filter stage backs the count gate: it only
-  trips on order-of-magnitude regressions, not runner jitter.
+  trips on order-of-magnitude regressions, not runner jitter;
+* the 1373-location catalogue's profile build: the scalar haversine
+  evaluations (counted by wrapping ``haversine_km`` from outside) and the
+  synthesized weather hours.  A regression means the nearest-infrastructure
+  lookup went back to scanning every plant and backbone per location, or the
+  weather went back to synthesizing the full year; a generous wall-clock
+  ceiling backs the counts.
 
 Usage::
 
@@ -20,12 +26,23 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import sys
+import time
 from pathlib import Path
+from typing import Callable, Dict, Iterator
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_sec3d_solver_scaling import run_heuristic  # noqa: E402
+
+from repro.energy import EpochGrid, ProfileBuilder  # noqa: E402
+from repro.geo import coordinates  # noqa: E402
+from repro.weather import build_world_catalog  # noqa: E402
+from repro.weather.synthesis import TMYGenerator  # noqa: E402
 
 #: Ceiling on sec3d 60-location LP evaluations (currently 11: 9 siting
 #: evaluations on the coarse grid plus 2 adaptive refinement rounds).
@@ -42,6 +59,69 @@ FILTER_PRICED_FRACTION_CEILING = 0.25
 #: (currently ~0.15 s threaded / ~0.35 s serial; the ceiling only catches
 #: order-of-magnitude regressions such as losing the screen entirely).
 FILTER_SECONDS_CEILING = 2.0
+
+#: The catalogue the profile-stage gate builds (the paper's 1373 locations).
+PROFILE_LOCATIONS = 1373
+
+#: Ceiling on scalar haversine evaluations per location in the profile stage:
+#: one exact recompute for the nearest plant and one for the nearest backbone,
+#: plus 5 % for shortlist ties (a scan of every plant and backbone, three
+#: scans per location, was ~770 per location).
+PROFILE_HAVERSINES_PER_LOCATION_CEILING = 1.05 * 2
+
+#: Generous ceiling on the profile stage's wall-clock at 1373 locations
+#: (currently ~1.4 s on a 2-vCPU VM, ~6 s with full-year weather and scalar
+#: nearest scans; only order-of-magnitude regressions trip it).
+PROFILE_SECONDS_CEILING = 5.0
+
+
+@contextlib.contextmanager
+def _counting(
+    owner: object, name: str, tally: Dict[str, int], count: Callable[..., int]
+) -> Iterator[None]:
+    """Wrap ``owner.name`` from outside, adding ``count(*args)`` to ``tally[name]``."""
+    original = getattr(owner, name)
+    tally.setdefault(name, 0)
+
+    @functools.wraps(original)
+    def counted(*args, **kwargs):
+        tally[name] += count(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
+def _generated_hours(self, name, latitude_deg, climate, hours=None) -> int:
+    return 8760 if hours is None else int(np.size(hours))
+
+
+def run_profile_stage() -> dict:
+    """Build every profile of the 1373-location catalogue, counting the work."""
+    catalog = build_world_catalog(num_locations=PROFILE_LOCATIONS, seed=2014)
+    grid = EpochGrid.from_seasons(days_per_season=1, hours_per_epoch=3)
+    tally: Dict[str, int] = {}
+    with contextlib.ExitStack() as stack:
+        # Every loaded module that binds haversine_km by name, like the
+        # defining module, gets the counting wrapper.
+        haversine_km = coordinates.haversine_km
+        for module in list(sys.modules.values()):
+            if getattr(module, "haversine_km", None) is haversine_km:
+                stack.enter_context(_counting(module, "haversine_km", tally, lambda *a: 1))
+        stack.enter_context(_counting(TMYGenerator, "generate", tally, _generated_hours))
+        started = time.perf_counter()
+        profiles = ProfileBuilder(catalog).build_all(grid)
+        elapsed = time.perf_counter() - started
+    return {
+        "locations": len(profiles),
+        "haversines": tally["haversine_km"],
+        "weather_hours": tally["generate"],
+        "grid_hours": grid.num_epochs * grid.hours_per_epoch,
+        "elapsed_s": elapsed,
+    }
 
 
 def main() -> int:
@@ -84,6 +164,36 @@ def main() -> int:
         print(
             f"FAIL: the filter stage took {full['filter_seconds']:.3f}s, above the "
             f"{FILTER_SECONDS_CEILING:.1f}s ceiling"
+        )
+        return 1
+
+    stage = run_profile_stage()
+    locations = stage["locations"]
+    haversine_ceiling = PROFILE_HAVERSINES_PER_LOCATION_CEILING * locations
+    hours_ceiling = stage["grid_hours"] * locations
+    print(
+        f"profiles {locations} locations: {stage['haversines']} scalar haversines "
+        f"(ceiling {haversine_ceiling:.0f}), {stage['weather_hours']} weather hours "
+        f"(ceiling {hours_ceiling}), {stage['elapsed_s']:.3f}s "
+        f"(ceiling {PROFILE_SECONDS_CEILING:.1f}s)"
+    )
+    if stage["haversines"] > haversine_ceiling:
+        print(
+            f"FAIL: the profile stage evaluated {stage['haversines']} scalar haversines, "
+            f"above the {haversine_ceiling:.0f} ceiling — the nearest-infrastructure "
+            "lookup is scanning every plant and backbone again"
+        )
+        return 1
+    if stage["weather_hours"] > hours_ceiling:
+        print(
+            f"FAIL: the profile stage synthesized {stage['weather_hours']} weather hours, "
+            f"above the {hours_ceiling} the epoch grid reads"
+        )
+        return 1
+    if stage["elapsed_s"] > PROFILE_SECONDS_CEILING:
+        print(
+            f"FAIL: the profile stage took {stage['elapsed_s']:.3f}s, above the "
+            f"{PROFILE_SECONDS_CEILING:.1f}s ceiling"
         )
         return 1
     print("perf smoke OK")

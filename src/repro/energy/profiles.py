@@ -22,7 +22,7 @@ from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
 from repro.weather.locations import Location, WorldCatalog
-from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY
+from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR
 
 
 def calibrate_series(
@@ -101,6 +101,15 @@ class EpochGrid:
         for day in self.representative_days:
             if not 0 <= day < DAYS_PER_YEAR:
                 raise ValueError(f"representative day {day} outside the year")
+        # Hour-of-year indices, precomputed once: every profile build and
+        # aggregate reads them.
+        epoch_starts = (
+            np.asarray(self.representative_days, dtype=np.int64)[:, None] * HOURS_PER_DAY
+            + np.arange(0, HOURS_PER_DAY, self.hours_per_epoch)
+        ).reshape(-1, 1)
+        indices = epoch_starts + np.arange(self.hours_per_epoch)
+        indices.flags.writeable = False
+        object.__setattr__(self, "_hour_indices", indices)
 
     @classmethod
     def from_seasons(cls, days_per_season: int = 1, hours_per_epoch: int = 3) -> "EpochGrid":
@@ -140,14 +149,8 @@ class EpochGrid:
         return np.full(self.num_epochs, weight)
 
     def hour_indices(self) -> np.ndarray:
-        """Hour-of-year index array of shape (num_epochs, hours_per_epoch)."""
-        indices = []
-        for day in self.representative_days:
-            day_start = day * HOURS_PER_DAY
-            for epoch in range(self.epochs_per_day):
-                start = day_start + epoch * self.hours_per_epoch
-                indices.append(np.arange(start, start + self.hours_per_epoch))
-        return np.array(indices)
+        """Hour-of-year index array of shape (num_epochs, hours_per_epoch), read-only."""
+        return self._hour_indices
 
     def aggregate(self, hourly_values: np.ndarray) -> np.ndarray:
         """Average an 8760-hour array into the epoch grid."""
@@ -313,22 +316,20 @@ class ProfileBuilder:
         key = (location.name, epochs.representative_days, epochs.hours_per_epoch)
         if key in self._cache:
             return self._cache[key]
-        tmy = self.catalog.tmy(location)
-        alpha_hourly = self.solar_model.production_fraction(tmy.ghi_w_m2, tmy.temperature_c)
-        beta_hourly = self.wind_model.production_fraction(
-            tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c
-        )
-        pue_hourly = self.pue_model.series(tmy.temperature_c)
-
         # The TMY channels are in local solar time; the optimiser and the
         # GreenNebula scheduler reason about all locations at the same instant,
         # so the series are shifted to UTC.  This is what makes the sun "move"
         # from one candidate location to the next — the effect the
-        # follow-the-renewables solutions exploit.
+        # follow-the-renewables solutions exploit.  Only the (shifted) hours
+        # the grid reads are synthesized.
         shift = int(round(location.point.longitude / 15.0))
-        alpha = epochs.aggregate(np.roll(alpha_hourly, -shift))
-        beta = epochs.aggregate(np.roll(beta_hourly, -shift))
-        pue = epochs.aggregate(np.roll(pue_hourly, -shift))
+        hours = (epochs.hour_indices() + shift) % HOURS_PER_YEAR
+        tmy = self.catalog.tmy(location, hours)
+        alpha = self.solar_model.production_fraction(tmy.ghi_w_m2, tmy.temperature_c).mean(axis=1)
+        beta = self.wind_model.production_fraction(
+            tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c
+        ).mean(axis=1)
+        pue = self.pue_model.series(tmy.temperature_c).mean(axis=1)
 
         overrides = location.overrides
         if overrides.solar_capacity_factor is not None:

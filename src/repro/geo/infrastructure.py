@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.geo.coordinates import GeoPoint, haversine_km
+from repro.geo.coordinates import GeoPoint, nearest_point
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,16 @@ class InfrastructureMap:
 
     def nearest_plant(self, point: GeoPoint) -> Tuple[Optional[PowerPlant], float]:
         """Nearest brown power plant and its distance in km."""
-        return _nearest(point, self.plants)
+        return nearest_point(point, self.plants)
 
     def nearest_backbone(self, point: GeoPoint) -> Tuple[Optional[BackbonePoint], float]:
         """Nearest backbone connection point and its distance in km."""
-        return _nearest(point, self.backbones)
+        return nearest_point(point, self.backbones)
 
     def nearest_plant_capacity_kw(self, point: GeoPoint) -> float:
         """Capacity of the nearest plant (``nearPlantCap(d)``), 0 if none."""
         plant, _ = self.nearest_plant(point)
         return plant.capacity_kw if plant else 0.0
-
-
-def _nearest(point: GeoPoint, items):
-    best = None
-    best_distance = float("inf")
-    for item in items:
-        distance = haversine_km(point, item.point)
-        if distance < best_distance:
-            best, best_distance = item, distance
-    return best, best_distance
 
 
 # Regions used to modulate infrastructure density.  Each entry is

@@ -13,13 +13,13 @@ distances, so that the reproduced tables match the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geo.coordinates import GeoPoint
+from repro.geo.coordinates import GeoPoint, nearest_points
 from repro.geo.grid import GridEnergyPricing
-from repro.geo.infrastructure import InfrastructureMap, synthesize_infrastructure
+from repro.geo.infrastructure import InfrastructureMap, PowerPlant, synthesize_infrastructure
 from repro.geo.land import LandPriceModel
 from repro.weather.records import TMYDataset
 from repro.weather.synthesis import ClimateProfile, TMYGenerator
@@ -232,6 +232,9 @@ class WorldCatalog:
         self.grid_prices = grid_prices or GridEnergyPricing()
         self.tmy_generator = tmy_generator or TMYGenerator()
         self._tmy_cache: Dict[str, TMYDataset] = {}
+        #: Nearest (plant, plant km, backbone km) per location point, filled
+        #: for the whole catalogue by one scan on first use.
+        self._nearest: Optional[Dict[GeoPoint, Tuple[Optional[PowerPlant], float, float]]] = None
 
     # -- access -----------------------------------------------------------------
     @property
@@ -265,11 +268,21 @@ class WorldCatalog:
             tmy_generator=self.tmy_generator,
         )
         catalog._tmy_cache = self._tmy_cache
+        catalog._nearest = self._nearest
         return catalog
 
     # -- per-location attributes ---------------------------------------------------
-    def tmy(self, location: Location) -> TMYDataset:
-        """The (cached) synthetic TMY for a location."""
+    def tmy(self, location: Location, hours: Optional[np.ndarray] = None) -> TMYDataset:
+        """The synthetic TMY for a location.
+
+        Without ``hours`` this is the full year, cached per location.  With
+        an array of hour-of-year indices only those hours are synthesized
+        (bit-identical to the full year's values there) and nothing is cached.
+        """
+        if hours is not None:
+            return self.tmy_generator.generate(
+                location.name, location.point.latitude, location.climate, hours
+            )
         if location.name not in self._tmy_cache:
             self._tmy_cache[location.name] = self.tmy_generator.generate(
                 location.name, location.point.latitude, location.climate
@@ -289,19 +302,41 @@ class WorldCatalog:
     def distance_to_power_km(self, location: Location) -> float:
         if location.overrides.distance_power_km is not None:
             return location.overrides.distance_power_km
-        _, distance = self.infrastructure.nearest_plant(location.point)
-        return distance
+        return self._nearest_infrastructure(location)[1]
 
     def distance_to_network_km(self, location: Location) -> float:
         if location.overrides.distance_network_km is not None:
             return location.overrides.distance_network_km
-        _, distance = self.infrastructure.nearest_backbone(location.point)
-        return distance
+        return self._nearest_infrastructure(location)[2]
 
     def near_plant_capacity_kw(self, location: Location) -> float:
         if location.overrides.near_plant_capacity_kw is not None:
             return location.overrides.near_plant_capacity_kw
-        return self.infrastructure.nearest_plant_capacity_kw(location.point)
+        plant = self._nearest_infrastructure(location)[0]
+        return plant.capacity_kw if plant else 0.0
+
+    def _nearest_infrastructure(
+        self, location: Location
+    ) -> Tuple[Optional[PowerPlant], float, float]:
+        """Nearest plant, its distance and the nearest backbone's distance.
+
+        The first call scans the whole catalogue against the infrastructure
+        map at once; a location from outside the catalogue is looked up alone.
+        """
+        if self._nearest is None:
+            points = [entry.point for entry in self._locations]
+            plants = nearest_points(points, self.infrastructure.plants)
+            backbones = nearest_points(points, self.infrastructure.backbones)
+            self._nearest = {
+                point: (plant, plant_km, backbone_km)
+                for point, (plant, plant_km), (_, backbone_km) in zip(points, plants, backbones)
+            }
+        found = self._nearest.get(location.point)
+        if found is None:
+            plant, plant_km = self.infrastructure.nearest_plant(location.point)
+            _, backbone_km = self.infrastructure.nearest_backbone(location.point)
+            found = (plant, plant_km, backbone_km)
+        return found
 
 
 def build_world_catalog(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -77,29 +78,47 @@ class TMYGenerator:
         self.seed = int(seed)
 
     # -- public API -------------------------------------------------------------
-    def generate(self, name: str, latitude_deg: float, climate: ClimateProfile) -> TMYDataset:
-        """Generate the TMY for one location."""
+    def generate(
+        self,
+        name: str,
+        latitude_deg: float,
+        climate: ClimateProfile,
+        hours: Optional[np.ndarray] = None,
+    ) -> TMYDataset:
+        """Generate the TMY for one location.
+
+        ``hours`` (hour-of-year indices, any shape) restricts the channel
+        arithmetic to those hours; ``None`` means the full year.  The random
+        streams are drawn in full and in the same order either way, so the
+        value at an hour never depends on which other hours were asked for.
+        """
         rng = self._rng(name)
-        hours = np.arange(HOURS_PER_YEAR)
+        full_year = hours is None
+        hours = np.arange(HOURS_PER_YEAR) if full_year else np.asarray(hours)
         day_of_year = hours // HOURS_PER_DAY
         hour_of_day = hours % HOURS_PER_DAY
 
-        temperature = self._temperature(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        ghi = self._irradiance(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        wind = self._wind(latitude_deg, climate, day_of_year, hour_of_day, rng)
-        pressure = self._pressure(climate, temperature, rng)
+        temperature = self._temperature(latitude_deg, climate, hours, day_of_year, hour_of_day, rng)
+        ghi = self._irradiance(latitude_deg, climate, hours, day_of_year, hour_of_day, rng)
+        wind = self._wind(latitude_deg, climate, hours, day_of_year, hour_of_day, rng)
+        pressure = self._pressure(climate, day_of_year, rng)
         return TMYDataset(
             temperature_c=temperature,
             ghi_w_m2=ghi,
             wind_speed_m_s=wind,
             pressure_kpa=pressure,
+            hours=None if full_year else hours,
         )
 
     # -- channels ---------------------------------------------------------------
+    # Each channel draws its daily and hourly noise for the whole year, in a
+    # fixed order, and only then reads it at the requested days and hours:
+    # the streams, and so the values, never depend on which hours are asked for.
     def _temperature(
         self,
         latitude_deg: float,
         climate: ClimateProfile,
+        hours: np.ndarray,
         day_of_year: np.ndarray,
         hour_of_day: np.ndarray,
         rng: np.random.Generator,
@@ -112,14 +131,15 @@ class TMYGenerator:
         )
         # Diurnal cycle peaks mid-afternoon (15:00) and bottoms before dawn.
         diurnal = climate.diurnal_amplitude_c * np.cos(2.0 * math.pi * (hour_of_day - 15.0) / 24.0)
-        daily_noise = np.repeat(rng.normal(0.0, 1.5, DAYS_PER_YEAR), HOURS_PER_DAY)
-        hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)
+        daily_noise = rng.normal(0.0, 1.5, DAYS_PER_YEAR)[day_of_year]
+        hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)[hours]
         return climate.mean_temperature_c + seasonal + diurnal + daily_noise + hourly_noise
 
     def _irradiance(
         self,
         latitude_deg: float,
         climate: ClimateProfile,
+        hours: np.ndarray,
         day_of_year: np.ndarray,
         hour_of_day: np.ndarray,
         rng: np.random.Generator,
@@ -128,19 +148,18 @@ class TMYGenerator:
         # Day-to-day clearness index: cloudy locations lose more energy and
         # see larger swings between overcast and clear days.
         base_clearness = 1.0 - 0.65 * climate.cloudiness
-        daily_clearness = np.clip(
-            rng.beta(4.0 * (1.0 - climate.cloudiness) + 1.0, 4.0 * climate.cloudiness + 1.0, DAYS_PER_YEAR),
-            0.05,
-            1.0,
+        daily_clearness = rng.beta(
+            4.0 * (1.0 - climate.cloudiness) + 1.0, 4.0 * climate.cloudiness + 1.0, DAYS_PER_YEAR
         )
-        clearness = 0.5 * base_clearness + 0.5 * np.repeat(daily_clearness, HOURS_PER_DAY)
-        hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR), 0.7, 1.2)
+        clearness = 0.5 * base_clearness + 0.5 * np.clip(daily_clearness[day_of_year], 0.05, 1.0)
+        hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR)[hours], 0.7, 1.2)
         return np.maximum(0.0, clear * clearness * hourly_flicker)
 
     def _wind(
         self,
         latitude_deg: float,
         climate: ClimateProfile,
+        hours: np.ndarray,
         day_of_year: np.ndarray,
         hour_of_day: np.ndarray,
         rng: np.random.Generator,
@@ -151,25 +170,26 @@ class TMYGenerator:
         )
         diurnal = 1.0 + 0.15 * np.cos(2.0 * math.pi * (hour_of_day - 14.0) / 24.0)
         # Day-scale lognormal variability approximating a Weibull distribution.
-        daily = np.repeat(
-            rng.lognormal(mean=-0.5 * climate.wind_variability**2, sigma=climate.wind_variability, size=DAYS_PER_YEAR),
-            HOURS_PER_DAY,
-        )
-        hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR), 0.3, 2.0)
+        daily = rng.lognormal(
+            mean=-0.5 * climate.wind_variability**2,
+            sigma=climate.wind_variability,
+            size=DAYS_PER_YEAR,
+        )[day_of_year]
+        hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR)[hours], 0.3, 2.0)
         wind = climate.mean_wind_speed_m_s * seasonal * diurnal * daily * hourly
         return np.maximum(0.0, wind)
 
     def _pressure(
         self,
         climate: ClimateProfile,
-        temperature_c: np.ndarray,
+        day_of_year: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
         # Barometric formula for the mean plus small synoptic noise.
         sea_level_kpa = 101.325
         scale_height_m = 8434.0
         mean_pressure = sea_level_kpa * math.exp(-max(0.0, climate.altitude_m) / scale_height_m)
-        noise = np.repeat(rng.normal(0.0, 0.6, DAYS_PER_YEAR), HOURS_PER_DAY)
+        noise = rng.normal(0.0, 0.6, DAYS_PER_YEAR)[day_of_year]
         return np.maximum(50.0, mean_pressure + noise)
 
     # -- helpers ----------------------------------------------------------------

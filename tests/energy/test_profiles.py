@@ -107,6 +107,26 @@ class TestEpochGrid:
         assert indices[0, 0] == 0
         assert indices[6, 0] == 100 * 24
 
+    @pytest.mark.parametrize(
+        "days, hours_per_epoch",
+        [((0, 100), 4), ((15, 105, 196, 288), 3), ((364,), 24), ((7, 8), 1)],
+    )
+    def test_hour_indices_match_per_epoch_ranges(self, days, hours_per_epoch):
+        grid = EpochGrid(representative_days=days, hours_per_epoch=hours_per_epoch)
+        expected = [
+            np.arange(start, start + hours_per_epoch)
+            for day in days
+            for start in range(day * 24, (day + 1) * 24, hours_per_epoch)
+        ]
+        np.testing.assert_array_equal(grid.hour_indices(), np.array(expected))
+        assert grid.hour_indices().dtype == np.int64
+
+    def test_hour_indices_built_once_and_read_only(self):
+        grid = EpochGrid(representative_days=(3,), hours_per_epoch=2)
+        assert grid.hour_indices() is grid.hour_indices()
+        with pytest.raises(ValueError):
+            grid.hour_indices()[0, 0] = 1
+
 
 class TestProfileBuilder:
     def test_build_all_shares_grid(self, profile_builder, epoch_grid, small_catalog):

@@ -1,8 +1,15 @@
 """Tests for geographic coordinates and distances."""
 
+import numpy as np
 import pytest
 
-from repro.geo import GeoPoint, haversine_km, nearest_point
+from repro.geo import (
+    GeoPoint,
+    haversine_km,
+    nearest_point,
+    nearest_points,
+    synthesize_infrastructure,
+)
 from repro.geo.coordinates import bounding_latitudes
 
 
@@ -72,6 +79,52 @@ class TestNearestPoint:
         items = [(GeoPoint(2.0, 2.0), "a"), (GeoPoint(0.5, 0.5), "b")]
         nearest, _ = nearest_point(origin, items, point_of=lambda item: item[0])
         assert nearest[1] == "b"
+
+
+class TestNearestPoints:
+    @staticmethod
+    def _scalar_scan(origin, items):
+        best, best_distance = None, float("inf")
+        for item in items:
+            distance = haversine_km(origin, item.point)
+            if distance < best_distance:
+                best, best_distance = item, distance
+        return best, best_distance
+
+    def test_matches_scalar_scan_exactly(self):
+        infrastructure = synthesize_infrastructure()
+        rng = np.random.default_rng(11)
+        origins = [
+            GeoPoint(float(lat), float(lon))
+            for lat, lon in zip(rng.uniform(-60, 70, 400), rng.uniform(-180, 180, 400))
+        ]
+        for items in (infrastructure.plants, infrastructure.backbones):
+            for origin, (item, distance) in zip(origins, nearest_points(origins, items)):
+                expected_item, expected_distance = self._scalar_scan(origin, items)
+                assert item is expected_item
+                assert distance.hex() == expected_distance.hex()
+
+    def test_ties_go_to_the_first_candidate(self):
+        items = [
+            TestNearestPoint._Item("far", 5.0, 5.0),
+            TestNearestPoint._Item("first", 1.0, 1.0),
+            TestNearestPoint._Item("twin", 1.0, 1.0),
+        ]
+        [(nearest, _)] = nearest_points([GeoPoint(0.0, 0.0)], items)
+        assert nearest.name == "first"
+
+    def test_coincident_and_antipodal_origins(self):
+        items = [
+            TestNearestPoint._Item("pole", 90.0, 0.0),
+            TestNearestPoint._Item("origin", 0.0, 0.0),
+        ]
+        found = nearest_points([GeoPoint(0.0, 0.0), GeoPoint(-90.0, 0.0)], items)
+        assert found[0] == (items[1], 0.0)
+        assert found[1][0] is items[1]
+
+    def test_empty_inputs(self):
+        assert nearest_points([], [TestNearestPoint._Item("a", 0.0, 0.0)]) == []
+        assert nearest_points([GeoPoint(0, 0)] * 2, []) == [(None, float("inf"))] * 2
 
 
 class TestBoundingLatitudes:

@@ -11,22 +11,36 @@ tests pin both against independent references kept here:
 * :class:`ScalarProvisioningBuilder` builds the Fig. 1 provisioning LP with
   the readable per-epoch object API (``for t in range(num_epochs)``), the
   reference formulation the vectorized builder must reproduce exactly.
+
+The profile build is pinned the same way: :func:`reference_profiles` builds
+:class:`~repro.energy.profiles.LocationProfile` objects from full-year TMYs
+(``np.roll`` to UTC, then :meth:`EpochGrid.aggregate`) with a plain scalar
+nearest-infrastructure scan, the path the hour-subset builder must match
+byte for byte; :func:`profile_digest` hashes profiles for golden values.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
+import struct
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import optimize
 
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
 from repro.core.provisioning import ProvisioningModelBuilder, _SiteLayout
-from repro.energy.profiles import LocationProfile
+from repro.energy.profiles import EpochGrid, LocationProfile, _calibrate_pue, calibrate_series
+from repro.energy.pue import PUEModel
+from repro.energy.solar_plant import SolarPanelModel
+from repro.energy.wind_plant import WindTurbineModel
+from repro.geo.coordinates import GeoPoint, haversine_km
 from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
 from repro.lpsolver.result import SolveResult, SolveStatus
 from repro.lpsolver.solvers import _finalise
+from repro.weather.locations import WorldCatalog
 
 _LINPROG_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -329,3 +343,97 @@ class ScalarProvisioningBuilder(ProvisioningModelBuilder):
         pue = site.profile.pue[t]
         demand = site.compute[t] + migration_factor * site.migrate[t]
         return pue * demand
+
+
+# -- profiles ------------------------------------------------------------------
+
+#: The profile fields compared byte for byte: the epoch series, then the scalars.
+PROFILE_SERIES = ("solar_alpha", "wind_beta", "pue")
+PROFILE_SCALARS = (
+    "land_price_per_m2",
+    "energy_price_per_kwh",
+    "distance_power_km",
+    "distance_network_km",
+    "near_plant_capacity_kw",
+)
+
+
+def scalar_nearest(point: GeoPoint, items: Sequence) -> tuple:
+    """``(nearest item, distance_km)`` by scanning every item with the scalar haversine."""
+    best = None
+    best_distance = math.inf
+    for item in items:
+        distance = haversine_km(point, item.point)
+        if distance < best_distance:
+            best, best_distance = item, distance
+    return best, best_distance
+
+
+def reference_profiles(catalog: WorldCatalog, epochs: EpochGrid) -> List[LocationProfile]:
+    """Every catalogue location's profile, built from full-year TMYs.
+
+    Each channel is converted to production over all 8760 hours, rolled to
+    UTC by the location's longitude and averaged onto ``epochs``; distances
+    and the plant capacity come from :func:`scalar_nearest`.  Calibrations
+    and overrides are applied exactly as :class:`ProfileBuilder` applies them.
+    """
+    solar, wind, pue_model = SolarPanelModel(), WindTurbineModel(), PUEModel()
+    infrastructure = catalog.infrastructure
+    profiles = []
+    for location in catalog.locations:
+        tmy = catalog.tmy(location)
+        shift = int(round(location.point.longitude / 15.0))
+        alpha = epochs.aggregate(
+            np.roll(solar.production_fraction(tmy.ghi_w_m2, tmy.temperature_c), -shift)
+        )
+        beta = epochs.aggregate(
+            np.roll(
+                wind.production_fraction(tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c),
+                -shift,
+            )
+        )
+        pue = epochs.aggregate(np.roll(pue_model.series(tmy.temperature_c), -shift))
+
+        overrides = location.overrides
+        if overrides.solar_capacity_factor is not None:
+            alpha = calibrate_series(alpha, overrides.solar_capacity_factor)
+        if overrides.wind_capacity_factor is not None:
+            beta = calibrate_series(beta, overrides.wind_capacity_factor)
+        if overrides.max_pue is not None:
+            pue = _calibrate_pue(pue, overrides.max_pue, pue_model.min_pue)
+        plant, plant_km = scalar_nearest(location.point, infrastructure.plants)
+        _, backbone_km = scalar_nearest(location.point, infrastructure.backbones)
+
+        def pick(override: Optional[float], value: float) -> float:
+            return value if override is None else override
+
+        profiles.append(
+            LocationProfile(
+                location=location,
+                epochs=epochs,
+                solar_alpha=alpha,
+                wind_beta=beta,
+                pue=pue,
+                land_price_per_m2=catalog.land_price_per_m2(location),
+                energy_price_per_kwh=catalog.energy_price_per_kwh(location),
+                distance_power_km=pick(overrides.distance_power_km, plant_km),
+                distance_network_km=pick(overrides.distance_network_km, backbone_km),
+                near_plant_capacity_kw=pick(
+                    overrides.near_plant_capacity_kw, plant.capacity_kw if plant else 0.0
+                ),
+            )
+        )
+    return profiles
+
+
+def profile_digest(profiles: Iterable[LocationProfile]) -> str:
+    """sha256 over each profile's name, series bytes and scalar bits, in order."""
+    digest = hashlib.sha256()
+    for profile in profiles:
+        digest.update(profile.name.encode("utf-8") + b"\0")
+        for name in PROFILE_SERIES:
+            digest.update(np.ascontiguousarray(getattr(profile, name), dtype="<f8").tobytes())
+        digest.update(
+            struct.pack("<5d", *(getattr(profile, name) for name in PROFILE_SCALARS))
+        )
+    return digest.hexdigest()

@@ -80,6 +80,24 @@ class TestTMYGeneration:
         cloudy = generator.generate("cloudy", 30.0, ClimateProfile(cloudiness=0.8))
         assert clear.ghi_w_m2.mean() > cloudy.ghi_w_m2.mean()
 
+    @pytest.mark.parametrize("latitude", [45.0, -30.0])
+    def test_hour_subset_is_bit_identical_to_full_year(self, generator, latitude):
+        climate = ClimateProfile(cloudiness=0.6, wind_variability=0.7)
+        full = generator.generate("subset", latitude, climate)
+        rng = np.random.default_rng(5)
+        for hours in (
+            rng.integers(0, HOURS_PER_YEAR, 50),  # unsorted, with repeats
+            np.arange(24 * 100, 24 * 102).reshape(8, 6),  # the (epochs, hours) layout
+            np.array([0, HOURS_PER_YEAR - 1]),
+        ):
+            subset = generator.generate("subset", latitude, climate, hours)
+            assert subset.num_hours == hours.size
+            np.testing.assert_array_equal(subset.hour_of_year(), hours)
+            for channel in ("temperature_c", "ghi_w_m2", "wind_speed_m_s", "pressure_kpa"):
+                got = getattr(subset, channel)
+                assert got.shape == hours.shape
+                assert got.tobytes() == getattr(full, channel)[hours].tobytes(), channel
+
 
 class TestTMYDatasetValidation:
     def test_wrong_length_rejected(self):
@@ -99,6 +117,18 @@ class TestTMYDatasetValidation:
         zero = np.zeros(HOURS_PER_YEAR)
         with pytest.raises(ValueError):
             TMYDataset(full, full, full, zero)
+
+    def test_hour_subset_validation(self):
+        values = np.full(3, 10.0)
+        subset = TMYDataset(values, values, values, values, hours=[25, 26, 27])
+        assert subset.day_of_year().tolist() == [1, 1, 1]
+        assert subset.hour_of_day().tolist() == [1, 2, 3]
+        with pytest.raises(ValueError):
+            subset.select_days([0])
+        with pytest.raises(ValueError):
+            TMYDataset(values, values, values, values, hours=[0, 1])
+        with pytest.raises(ValueError):
+            TMYDataset(values, values, values, values, hours=[0, 1, HOURS_PER_YEAR])
 
     def test_day_and_hour_indices(self, temperate):
         assert temperate.hour_of_day()[25] == 1
