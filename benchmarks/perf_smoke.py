@@ -13,11 +13,14 @@ deterministic *counts*:
   wall-clock ceiling on the filter stage backs the count gate: it only
   trips on order-of-magnitude regressions, not runner jitter;
 * the 1373-location catalogue's profile build: the scalar haversine
-  evaluations (counted by wrapping ``haversine_km`` from outside) and the
-  synthesized weather hours.  A regression means the nearest-infrastructure
-  lookup went back to scanning every plant and backbone per location, or the
-  weather went back to synthesizing the full year; a generous wall-clock
-  ceiling backs the counts.
+  evaluations (counted by wrapping ``haversine_km`` from outside), the
+  weather hours synthesized through the batched entry point
+  (``TMYGenerator.generate_batch``) and the chunk runs
+  (``build_profile_chunk``).  A regression means the nearest-infrastructure
+  lookup went back to scanning every plant and backbone per location, the
+  weather went back to synthesizing the full year (or skipped locations),
+  or the stage went back to one weather pass per location; a generous
+  wall-clock ceiling backs the counts.
 
 Usage::
 
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -40,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_sec3d_solver_scaling import run_heuristic  # noqa: E402
 
 from repro.energy import EpochGrid, ProfileBuilder  # noqa: E402
+from repro.energy import profiles  # noqa: E402
 from repro.geo import coordinates  # noqa: E402
 from repro.weather import build_world_catalog  # noqa: E402
 from repro.weather.synthesis import TMYGenerator  # noqa: E402
@@ -63,6 +68,11 @@ FILTER_SECONDS_CEILING = 2.0
 #: The catalogue the profile-stage gate builds (the paper's 1373 locations).
 PROFILE_LOCATIONS = 1373
 
+#: Locations per weather chunk the profile stage must batch
+#: (``repro.energy.profiles.PROFILE_CHUNK_SIZE``, pinned here so a change to
+#: it is a deliberate change to this gate): 1373 locations run 22 chunks.
+PROFILE_CHUNK_LOCATIONS = 64
+
 #: Ceiling on scalar haversine evaluations per location in the profile stage:
 #: one exact recompute for the nearest plant and one for the nearest backbone,
 #: plus 5 % for shortlist ties (a scan of every plant and backbone, three
@@ -70,8 +80,9 @@ PROFILE_LOCATIONS = 1373
 PROFILE_HAVERSINES_PER_LOCATION_CEILING = 1.05 * 2
 
 #: Generous ceiling on the profile stage's wall-clock at 1373 locations
-#: (currently ~1.4 s on a 2-vCPU VM, ~6 s with full-year weather and scalar
-#: nearest scans; only order-of-magnitude regressions trip it).
+#: (currently ~1.1 s serial on a 2-vCPU VM, ~6 s with full-year weather,
+#: per-location passes and scalar nearest scans; only order-of-magnitude
+#: regressions trip it).
 PROFILE_SECONDS_CEILING = 5.0
 
 
@@ -95,8 +106,8 @@ def _counting(
         setattr(owner, name, original)
 
 
-def _generated_hours(self, name, latitude_deg, climate, hours=None) -> int:
-    return 8760 if hours is None else int(np.size(hours))
+def _generated_hours(self, names, latitudes_deg, climates, hours) -> int:
+    return int(np.size(hours))
 
 
 def run_profile_stage() -> dict:
@@ -111,14 +122,16 @@ def run_profile_stage() -> dict:
         for module in list(sys.modules.values()):
             if getattr(module, "haversine_km", None) is haversine_km:
                 stack.enter_context(_counting(module, "haversine_km", tally, lambda *a: 1))
-        stack.enter_context(_counting(TMYGenerator, "generate", tally, _generated_hours))
+        stack.enter_context(_counting(TMYGenerator, "generate_batch", tally, _generated_hours))
+        stack.enter_context(_counting(profiles, "build_profile_chunk", tally, lambda *a: 1))
         started = time.perf_counter()
-        profiles = ProfileBuilder(catalog).build_all(grid)
+        built = ProfileBuilder(catalog).build_all(grid)
         elapsed = time.perf_counter() - started
     return {
-        "locations": len(profiles),
+        "locations": len(built),
         "haversines": tally["haversine_km"],
-        "weather_hours": tally["generate"],
+        "weather_hours": tally["generate_batch"],
+        "chunks": tally["build_profile_chunk"],
         "grid_hours": grid.num_epochs * grid.hours_per_epoch,
         "elapsed_s": elapsed,
     }
@@ -170,11 +183,13 @@ def main() -> int:
     stage = run_profile_stage()
     locations = stage["locations"]
     haversine_ceiling = PROFILE_HAVERSINES_PER_LOCATION_CEILING * locations
-    hours_ceiling = stage["grid_hours"] * locations
+    expected_hours = stage["grid_hours"] * locations
+    expected_chunks = math.ceil(locations / PROFILE_CHUNK_LOCATIONS)
     print(
         f"profiles {locations} locations: {stage['haversines']} scalar haversines "
         f"(ceiling {haversine_ceiling:.0f}), {stage['weather_hours']} weather hours "
-        f"(ceiling {hours_ceiling}), {stage['elapsed_s']:.3f}s "
+        f"(exactly {expected_hours}), {stage['chunks']} chunks "
+        f"(exactly {expected_chunks}), {stage['elapsed_s']:.3f}s "
         f"(ceiling {PROFILE_SECONDS_CEILING:.1f}s)"
     )
     if stage["haversines"] > haversine_ceiling:
@@ -184,10 +199,18 @@ def main() -> int:
             "lookup is scanning every plant and backbone again"
         )
         return 1
-    if stage["weather_hours"] > hours_ceiling:
+    if stage["weather_hours"] != expected_hours:
         print(
-            f"FAIL: the profile stage synthesized {stage['weather_hours']} weather hours, "
-            f"above the {hours_ceiling} the epoch grid reads"
+            f"FAIL: the profile stage synthesized {stage['weather_hours']} weather hours "
+            f"through TMYGenerator.generate_batch, not the {expected_hours} the epoch "
+            "grid reads for every location"
+        )
+        return 1
+    if stage["chunks"] != expected_chunks:
+        print(
+            f"FAIL: the profile stage ran {stage['chunks']} weather chunks, not "
+            f"{expected_chunks} of {PROFILE_CHUNK_LOCATIONS} locations — the stage no "
+            "longer batches locations as pinned"
         )
         return 1
     if stage["elapsed_s"] > PROFILE_SECONDS_CEILING:

@@ -12,8 +12,9 @@ cost model.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from repro.energy.capacity_factor import capacity_factor
 from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
+from repro.parallel.executors import ExecutorFactory, result_with_serial_fallback
 from repro.weather.locations import Location, WorldCatalog
 from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR
+from repro.weather.synthesis import ClimateProfile, TMYGenerator
 
 
 def calibrate_series(
@@ -87,7 +90,7 @@ class EpochGrid:
     representative_days:
         Day-of-year indices (0-based) of the days that stand in for the year.
     hours_per_epoch:
-        Epoch duration; must divide 24.
+        Epoch duration in whole hours; must be positive and divide 24.
     """
 
     representative_days: tuple
@@ -96,8 +99,11 @@ class EpochGrid:
     def __post_init__(self) -> None:
         if not self.representative_days:
             raise ValueError("at least one representative day is required")
-        if HOURS_PER_DAY % self.hours_per_epoch != 0:
-            raise ValueError("hours_per_epoch must divide 24")
+        hours = self.hours_per_epoch
+        if isinstance(hours, bool) or not isinstance(hours, numbers.Integral):
+            raise ValueError(f"hours_per_epoch must be a whole number of hours, got {hours!r}")
+        if hours < 1 or HOURS_PER_DAY % hours != 0:
+            raise ValueError(f"hours_per_epoch must be a positive divisor of 24, got {hours}")
         for day in self.representative_days:
             if not 0 <= day < DAYS_PER_YEAR:
                 raise ValueError(f"representative day {day} outside the year")
@@ -295,6 +301,60 @@ class LocationProfile:
         return float(np.max(self.pue))
 
 
+#: Locations per profile-stage chunk.  Fixed, never derived from the worker
+#: count, so the split is the same on every executor; small enough that a
+#: chunk's ``(locations, epochs, hours)`` weather arrays leave peak memory
+#: flat (256-location chunks cost ~10 MB more on a 1373-location plan), large
+#: enough that the channel arithmetic runs once per chunk, not per location.
+PROFILE_CHUNK_SIZE = 64
+
+#: The default profile-stage executor: chunks run inline, in order.
+_SERIAL = ExecutorFactory(kind="serial")
+
+
+@dataclass(frozen=True)
+class ProfileChunkTask:
+    """One contiguous chunk of the profile stage, as plain picklable data.
+
+    Carries what the weather and production models read per location and
+    nothing of the catalogue's lazy state (nearest-infrastructure scans, the
+    full-year TMY cache), so a chunk runs the same on any executor.
+    """
+
+    generator: TMYGenerator
+    names: Tuple[str, ...]
+    latitudes: Tuple[float, ...]
+    climates: Tuple[ClimateProfile, ...]
+    #: Whole-hour UTC shift of each location (its longitude / 15, rounded).
+    shifts: Tuple[int, ...]
+    #: The grid's ``(epochs, hours)`` hour-of-year indices.
+    hour_indices: np.ndarray
+    solar_model: SolarPanelModel
+    wind_model: WindTurbineModel
+    pue_model: PUEModel
+
+
+def build_profile_chunk(task: ProfileChunkTask) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uncalibrated ``(alpha, beta, pue)`` epoch series of a chunk, one row per location.
+
+    The TMY channels are in local solar time; the optimiser and the
+    GreenNebula scheduler reason about all locations at the same instant, so
+    the series are shifted to UTC.  This is what makes the sun "move" from
+    one candidate location to the next — the effect the follow-the-renewables
+    solutions exploit.  Only the (shifted) hours the grid reads are
+    synthesized, for the whole chunk at once.
+    """
+    shifts = np.asarray(task.shifts, dtype=np.int64)[:, None, None]
+    hours = (task.hour_indices[None] + shifts) % HOURS_PER_YEAR
+    tmy = task.generator.generate_batch(task.names, task.latitudes, task.climates, hours)
+    alpha = task.solar_model.production_fraction(tmy.ghi_w_m2, tmy.temperature_c)
+    beta = task.wind_model.production_fraction(
+        tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c
+    )
+    pue = task.pue_model.series(tmy.temperature_c)
+    return alpha.mean(axis=-1), beta.mean(axis=-1), pue.mean(axis=-1)
+
+
 class ProfileBuilder:
     """Build :class:`LocationProfile` objects from a :class:`WorldCatalog`."""
 
@@ -313,24 +373,73 @@ class ProfileBuilder:
 
     def build(self, location: Location, epochs: EpochGrid) -> LocationProfile:
         """Build (and cache) the profile of one location on an epoch grid."""
-        key = (location.name, epochs.representative_days, epochs.hours_per_epoch)
-        if key in self._cache:
-            return self._cache[key]
-        # The TMY channels are in local solar time; the optimiser and the
-        # GreenNebula scheduler reason about all locations at the same instant,
-        # so the series are shifted to UTC.  This is what makes the sun "move"
-        # from one candidate location to the next — the effect the
-        # follow-the-renewables solutions exploit.  Only the (shifted) hours
-        # the grid reads are synthesized.
-        shift = int(round(location.point.longitude / 15.0))
-        hours = (epochs.hour_indices() + shift) % HOURS_PER_YEAR
-        tmy = self.catalog.tmy(location, hours)
-        alpha = self.solar_model.production_fraction(tmy.ghi_w_m2, tmy.temperature_c).mean(axis=1)
-        beta = self.wind_model.production_fraction(
-            tmy.wind_speed_m_s, tmy.pressure_kpa, tmy.temperature_c
-        ).mean(axis=1)
-        pue = self.pue_model.series(tmy.temperature_c).mean(axis=1)
+        return self._build([location], epochs, _SERIAL)[0]
 
+    def build_all(
+        self,
+        epochs: EpochGrid,
+        names: Optional[Iterable[str]] = None,
+        factory: Optional[ExecutorFactory] = None,
+    ) -> List[LocationProfile]:
+        """Profiles for all (or the named subset of) catalogue locations.
+
+        Locations not built yet are synthesized in contiguous chunks of
+        :data:`PROFILE_CHUNK_SIZE` on ``factory``'s executor (serial by
+        default).  Profiles are byte-identical for every executor kind.
+        """
+        if names is None:
+            locations: Sequence[Location] = self.catalog.locations
+        else:
+            locations = [self.catalog.get(name) for name in names]
+        return self._build(locations, epochs, factory or _SERIAL)
+
+    def _build(
+        self, locations: Sequence[Location], epochs: EpochGrid, factory: ExecutorFactory
+    ) -> List[LocationProfile]:
+        grid_key = (epochs.representative_days, epochs.hours_per_epoch)
+        missing: Dict[str, Location] = {}
+        for location in locations:
+            if (location.name,) + grid_key not in self._cache:
+                missing.setdefault(location.name, location)
+        pending = list(missing.values())
+        chunks = [
+            pending[start : start + PROFILE_CHUNK_SIZE]
+            for start in range(0, len(pending), PROFILE_CHUNK_SIZE)
+        ]
+        if chunks:
+            tasks = [self._chunk_task(chunk, epochs) for chunk in chunks]
+            with factory.create(len(tasks)) as pool:
+                futures = [pool.submit(build_profile_chunk, task) for task in tasks]
+                for chunk, task, future in zip(chunks, tasks, futures):
+                    series = result_with_serial_fallback(future, build_profile_chunk, task)
+                    for location, alpha, beta, pue in zip(chunk, *series):
+                        self._cache[(location.name,) + grid_key] = self._profile(
+                            location, epochs, alpha, beta, pue
+                        )
+        return [self._cache[(location.name,) + grid_key] for location in locations]
+
+    def _chunk_task(self, chunk: Sequence[Location], epochs: EpochGrid) -> ProfileChunkTask:
+        return ProfileChunkTask(
+            generator=self.catalog.tmy_generator,
+            names=tuple(location.name for location in chunk),
+            latitudes=tuple(location.point.latitude for location in chunk),
+            climates=tuple(location.climate for location in chunk),
+            shifts=tuple(int(round(location.point.longitude / 15.0)) for location in chunk),
+            hour_indices=epochs.hour_indices(),
+            solar_model=self.solar_model,
+            wind_model=self.wind_model,
+            pue_model=self.pue_model,
+        )
+
+    def _profile(
+        self,
+        location: Location,
+        epochs: EpochGrid,
+        alpha: np.ndarray,
+        beta: np.ndarray,
+        pue: np.ndarray,
+    ) -> LocationProfile:
+        """One location's profile: anchor calibrations and catalogue scalars."""
         overrides = location.overrides
         if overrides.solar_capacity_factor is not None:
             alpha = calibrate_series(alpha, overrides.solar_capacity_factor)
@@ -338,8 +447,7 @@ class ProfileBuilder:
             beta = calibrate_series(beta, overrides.wind_capacity_factor)
         if overrides.max_pue is not None:
             pue = _calibrate_pue(pue, overrides.max_pue, self.pue_model.min_pue)
-
-        profile = LocationProfile(
+        return LocationProfile(
             location=location,
             epochs=epochs,
             solar_alpha=alpha,
@@ -351,18 +459,6 @@ class ProfileBuilder:
             distance_network_km=self.catalog.distance_to_network_km(location),
             near_plant_capacity_kw=self.catalog.near_plant_capacity_kw(location),
         )
-        self._cache[key] = profile
-        return profile
-
-    def build_all(
-        self, epochs: EpochGrid, names: Optional[Iterable[str]] = None
-    ) -> List[LocationProfile]:
-        """Profiles for all (or the named subset of) catalogue locations."""
-        if names is None:
-            locations: Sequence[Location] = self.catalog.locations
-        else:
-            locations = [self.catalog.get(name) for name in names]
-        return [self.build(location, epochs) for location in locations]
 
 
 def _calibrate_pue(pue: np.ndarray, target_max: float, floor: float) -> np.ndarray:

@@ -272,17 +272,8 @@ class WorldCatalog:
         return catalog
 
     # -- per-location attributes ---------------------------------------------------
-    def tmy(self, location: Location, hours: Optional[np.ndarray] = None) -> TMYDataset:
-        """The synthetic TMY for a location.
-
-        Without ``hours`` this is the full year, cached per location.  With
-        an array of hour-of-year indices only those hours are synthesized
-        (bit-identical to the full year's values there) and nothing is cached.
-        """
-        if hours is not None:
-            return self.tmy_generator.generate(
-                location.name, location.point.latitude, location.climate, hours
-            )
+    def tmy(self, location: Location) -> TMYDataset:
+        """The full-year synthetic TMY for a location, cached per location."""
         if location.name not in self._tmy_cache:
             self._tmy_cache[location.name] = self.tmy_generator.generate(
                 location.name, location.point.latitude, location.climate

@@ -85,6 +85,22 @@ class TestEpochGrid:
         with pytest.raises(ValueError):
             EpochGrid(representative_days=(1,), hours_per_epoch=5)
 
+    @pytest.mark.parametrize("hours_per_epoch", [-3, -24, 0])
+    def test_non_positive_hours_per_epoch_rejected(self, hours_per_epoch):
+        # -3 divides 24 (24 % -3 == 0) and 0 used to raise ZeroDivisionError.
+        with pytest.raises(ValueError, match="positive divisor of 24"):
+            EpochGrid(representative_days=(1,), hours_per_epoch=hours_per_epoch)
+
+    @pytest.mark.parametrize("hours_per_epoch", [1.5, 3.0, "3", True, None])
+    def test_non_integer_hours_per_epoch_rejected(self, hours_per_epoch):
+        with pytest.raises(ValueError, match="whole number of hours"):
+            EpochGrid(representative_days=(1,), hours_per_epoch=hours_per_epoch)
+
+    def test_numpy_integer_hours_per_epoch_accepted(self):
+        grid = EpochGrid(representative_days=(1,), hours_per_epoch=np.int64(6))
+        assert grid.num_epochs == 4
+        assert grid.hour_indices().shape == (4, 6)
+
     def test_invalid_day(self):
         with pytest.raises(ValueError):
             EpochGrid(representative_days=(400,), hours_per_epoch=1)

@@ -14,9 +14,10 @@ tests pin both against independent references kept here:
 
 The profile build is pinned the same way: :func:`reference_profiles` builds
 :class:`~repro.energy.profiles.LocationProfile` objects from full-year TMYs
-(``np.roll`` to UTC, then :meth:`EpochGrid.aggregate`) with a plain scalar
-nearest-infrastructure scan, the path the hour-subset builder must match
-byte for byte; :func:`profile_digest` hashes profiles for golden values.
+(:func:`reference_tmy`, one location at a time; ``np.roll`` to UTC, then
+:meth:`EpochGrid.aggregate`) with a plain scalar nearest-infrastructure
+scan, the path the batched, hour-subset builder must match byte for byte;
+:func:`profile_digest` hashes profiles for golden values.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
 from repro.lpsolver.result import SolveResult, SolveStatus
 from repro.lpsolver.solvers import _finalise
 from repro.weather.locations import WorldCatalog
+from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR, TMYDataset
+from repro.weather.solar_geometry import clear_sky_irradiance
+from repro.weather.synthesis import ClimateProfile, TMYGenerator
 
 _LINPROG_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -369,6 +373,64 @@ def scalar_nearest(point: GeoPoint, items: Sequence) -> tuple:
     return best, best_distance
 
 
+def reference_tmy(
+    generator: TMYGenerator, name: str, latitude_deg: float, climate: ClimateProfile
+) -> TMYDataset:
+    """The full-year TMY of one location, channel by channel.
+
+    The per-location arithmetic :class:`~repro.weather.synthesis.TMYGenerator`
+    ran before it synthesized a batch of locations at once: each channel draws
+    its daily and hourly noise for the whole year, in a fixed order, from the
+    location's own stream, and computes its 8760 values with the climate's
+    scalars.  The batched generator must reproduce it byte for byte.
+    """
+    digest = 0
+    for char in name:
+        digest = (digest * 131 + ord(char)) % (2**31)
+    rng = np.random.default_rng((generator.seed * 1_000_003 + digest) % (2**63))
+    hours = np.arange(HOURS_PER_YEAR)
+    day_of_year = hours // HOURS_PER_DAY
+    hour_of_day = hours % HOURS_PER_DAY
+
+    peak_day = 200.0 if latitude_deg >= 0 else 20.0
+    seasonal = climate.seasonal_amplitude_c * np.cos(
+        2.0 * math.pi * (day_of_year - peak_day) / DAYS_PER_YEAR
+    )
+    diurnal = climate.diurnal_amplitude_c * np.cos(2.0 * math.pi * (hour_of_day - 15.0) / 24.0)
+    daily_noise = rng.normal(0.0, 1.5, DAYS_PER_YEAR)[day_of_year]
+    hourly_noise = rng.normal(0.0, 0.4, HOURS_PER_YEAR)[hours]
+    temperature = climate.mean_temperature_c + seasonal + diurnal + daily_noise + hourly_noise
+
+    clear = clear_sky_irradiance(latitude_deg, day_of_year, hour_of_day)
+    base_clearness = 1.0 - 0.65 * climate.cloudiness
+    daily_clearness = rng.beta(
+        4.0 * (1.0 - climate.cloudiness) + 1.0, 4.0 * climate.cloudiness + 1.0, DAYS_PER_YEAR
+    )
+    clearness = 0.5 * base_clearness + 0.5 * np.clip(daily_clearness[day_of_year], 0.05, 1.0)
+    hourly_flicker = np.clip(rng.normal(1.0, 0.05, HOURS_PER_YEAR)[hours], 0.7, 1.2)
+    ghi = np.maximum(0.0, clear * clearness * hourly_flicker)
+
+    peak_day = 15.0 if latitude_deg >= 0 else 195.0
+    seasonal = 1.0 + climate.wind_seasonality * np.cos(
+        2.0 * math.pi * (day_of_year - peak_day) / DAYS_PER_YEAR
+    )
+    diurnal = 1.0 + 0.15 * np.cos(2.0 * math.pi * (hour_of_day - 14.0) / 24.0)
+    daily = rng.lognormal(
+        mean=-0.5 * climate.wind_variability**2,
+        sigma=climate.wind_variability,
+        size=DAYS_PER_YEAR,
+    )[day_of_year]
+    hourly = np.clip(rng.normal(1.0, 0.15, HOURS_PER_YEAR)[hours], 0.3, 2.0)
+    wind = np.maximum(0.0, climate.mean_wind_speed_m_s * seasonal * diurnal * daily * hourly)
+
+    mean_pressure = 101.325 * math.exp(-max(0.0, climate.altitude_m) / 8434.0)
+    noise = rng.normal(0.0, 0.6, DAYS_PER_YEAR)[day_of_year]
+    pressure = np.maximum(50.0, mean_pressure + noise)
+    return TMYDataset(
+        temperature_c=temperature, ghi_w_m2=ghi, wind_speed_m_s=wind, pressure_kpa=pressure
+    )
+
+
 def reference_profiles(catalog: WorldCatalog, epochs: EpochGrid) -> List[LocationProfile]:
     """Every catalogue location's profile, built from full-year TMYs.
 
@@ -381,7 +443,9 @@ def reference_profiles(catalog: WorldCatalog, epochs: EpochGrid) -> List[Locatio
     infrastructure = catalog.infrastructure
     profiles = []
     for location in catalog.locations:
-        tmy = catalog.tmy(location)
+        tmy = reference_tmy(
+            catalog.tmy_generator, location.name, location.point.latitude, location.climate
+        )
         shift = int(round(location.point.longitude / 15.0))
         alpha = epochs.aggregate(
             np.roll(solar.production_fraction(tmy.ghi_w_m2, tmy.temperature_c), -shift)

@@ -39,6 +39,12 @@ class TestScenarioSpecValidation:
         with pytest.raises(ValueError):
             ScenarioSpec(num_locations=0)
 
+    @pytest.mark.parametrize("hours_per_epoch", [-3, 0, 1.5])
+    def test_bad_epoch_length_rejected_when_building_the_grid(self, hours_per_epoch):
+        spec = ScenarioSpec(hours_per_epoch=hours_per_epoch)
+        with pytest.raises(ValueError):
+            spec.build_epoch_grid()
+
 
 class TestRoundTrip:
     def make_spec(self):

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import reference_tmy
 from repro.weather import ClimateProfile, TMYGenerator
 from repro.weather.records import HOURS_PER_YEAR, TMYDataset
+
+CHANNELS = ("temperature_c", "ghi_w_m2", "wind_speed_m_s", "pressure_kpa")
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,44 @@ class TestTMYGeneration:
                 got = getattr(subset, channel)
                 assert got.shape == hours.shape
                 assert got.tobytes() == getattr(full, channel)[hours].tobytes(), channel
+
+    def test_full_year_matches_the_per_location_reference(self, generator):
+        for name, latitude, climate in (
+            ("north", 52.0, ClimateProfile(cloudiness=0.7, altitude_m=1200.0)),
+            ("south", -33.0, ClimateProfile(wind_variability=0.9, wind_seasonality=0.8)),
+            ("equator", 0.0, ClimateProfile(altitude_m=-30.0)),
+        ):
+            got = generator.generate(name, latitude, climate)
+            want = reference_tmy(generator, name, latitude, climate)
+            for channel in CHANNELS:
+                assert getattr(got, channel).tobytes() == getattr(want, channel).tobytes(), channel
+
+    def test_batch_rows_are_bit_identical_to_lone_locations(self, generator):
+        names = ("a", "b", "c", "d")
+        latitudes = (61.0, -12.5, 0.0, 35.0)
+        climates = (
+            ClimateProfile(),
+            ClimateProfile(cloudiness=0.9, mean_wind_speed_m_s=8.0),
+            ClimateProfile(wind_variability=0.0, altitude_m=3000.0),
+            ClimateProfile(mean_temperature_c=28.0, seasonal_amplitude_c=2.0),
+        )
+        # A different (epochs, hours) block per location, like UTC shifts.
+        shifts = np.array([0, 5, -7, 300])[:, None, None]
+        hours = (np.arange(24 * 40, 24 * 41).reshape(8, 3)[None] + shifts) % HOURS_PER_YEAR
+        batch = generator.generate_batch(names, latitudes, climates, hours)
+        assert batch.hours.shape == hours.shape
+        for row, (name, latitude, climate) in enumerate(zip(names, latitudes, climates)):
+            alone = generator.generate(name, latitude, climate, hours[row])
+            for channel in CHANNELS:
+                got = getattr(batch, channel)[row]
+                assert got.shape == hours[row].shape
+                assert got.tobytes() == getattr(alone, channel).tobytes(), (name, channel)
+
+    def test_batch_needs_one_row_per_location(self, generator):
+        with pytest.raises(ValueError, match="one row per location"):
+            generator.generate_batch(
+                ("a", "b"), (1.0, 2.0), (ClimateProfile(),) * 2, np.zeros((3, 4), dtype=int)
+            )
 
 
 class TestTMYDatasetValidation:
