@@ -54,7 +54,8 @@ def run_heuristic(
 
     ``elapsed_s`` times the solve alone; ``catalogue_seconds`` and
     ``profile_seconds`` time the stages before it.  The profile stage runs
-    its weather chunks on the same executor as the search, as a plan does.
+    its weather chunks on the same executor as the search; a plan run by
+    the experiment runner builds them serially.
     """
     started = time.perf_counter()
     if synthetic_grid:

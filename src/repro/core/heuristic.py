@@ -105,18 +105,16 @@ class SearchSettings:
     #: independently in parallel (also deterministic for a fixed seed, for
     #: any worker count — but along the parallel trajectory).
     parallel_chains: Optional[bool] = None
-    #: Worker cap for the filter pricing pass, the parallel chains and, in
-    #: the experiment runner, the profile stage's weather chunks (``None`` =
-    #: CPUs available to this process, honouring container CPU quotas via
-    #: the scheduling affinity mask).
+    #: Worker cap for the filter pricing pass and the parallel chains
+    #: (``None`` = CPUs available to this process, honouring container CPU
+    #: quotas via the scheduling affinity mask).
     max_workers: Optional[int] = None
-    #: How the filter chunks, the parallel chains and, in the experiment
-    #: runner, the profile stage's weather chunks execute: ``"thread"``
+    #: How the filter chunks and the parallel chains execute: ``"thread"``
     #: (default), ``"process"`` (true multi-core scaling; work crosses the
     #: pickling boundary of :mod:`repro.parallel.work`) or ``"serial"``.
-    #: The knob never changes results — for a fixed seed, profiles, costs and
-    #: sitings are bit-identical across all three for any worker count; only
-    #: the ``parallel_chains`` trajectory switch does.
+    #: The knob never changes results — for a fixed seed, costs and sitings
+    #: are bit-identical across all three for any worker count; only the
+    #: ``parallel_chains`` trajectory switch does.
     executor: str = "thread"
     #: Evaluate sequential-search moves on a persistent mutable HiGHS model
     #: (column/row deltas + projected-basis warm starts) instead of

@@ -664,14 +664,11 @@ class ExperimentRunner:
             profiles = self._profiles.get(key)
         if profiles is None:
             self._count("profile_builds")
-            # The weather chunks run on the spec's execution-only executor and
-            # worker cap, like the filter's pricing pass; profiles never
-            # depend on either.
-            settings = spec.build_search_settings()
+            # Serial on purpose: on a shared machine, chunks spread over a
+            # thread pool make a cold plan's wall time swing with whether a
+            # second core happens to be free.
             profiles = tool.profile_builder.build_all(
-                tool.epoch_grid,
-                names=tool.candidate_names,
-                factory=ExecutorFactory(kind=settings.executor, max_workers=settings.max_workers),
+                tool.epoch_grid, names=tool.candidate_names
             )
             with self._lock:
                 profiles = self._profiles.setdefault(key, profiles)
