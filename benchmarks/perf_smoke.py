@@ -20,7 +20,15 @@ deterministic *counts*:
   lookup went back to scanning every plant and backbone per location, the
   weather went back to synthesizing the full year (or skipped locations),
   or the stage went back to one weather pass per location; a generous
-  wall-clock ceiling backs the counts.
+  wall-clock ceiling backs the counts;
+* the registered ``fig08`` sweep through one serial runner: exactly how many
+  filter shortlists the runner builds and reuses (the filter caps the
+  scoring green share at 50 %, so each curve's 0.75 and 1.0 points reuse
+  the 0.5 point's shortlist), and the native HiGHS bases converted to
+  status arrays by the search (counted by wrapping
+  ``highs_backend.status_arrays`` from outside).  A regression means the
+  runner stopped sharing shortlists, or splices went back to projecting
+  the basis eagerly.
 
 Usage::
 
@@ -44,6 +52,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_sec3d_solver_scaling import run_heuristic  # noqa: E402
 
 from repro.energy import EpochGrid, ProfileBuilder  # noqa: E402
+from repro.lpsolver import highs_backend  # noqa: E402
+from repro.scenarios import ExperimentRunner, get_scenario  # noqa: E402
 from repro.energy import profiles  # noqa: E402
 from repro.geo import coordinates  # noqa: E402
 from repro.weather import build_world_catalog  # noqa: E402
@@ -84,6 +94,20 @@ PROFILE_HAVERSINES_PER_LOCATION_CEILING = 1.05 * 2
 #: per-location passes and scalar nearest scans; only order-of-magnitude
 #: regressions trip it).
 PROFILE_SECONDS_CEILING = 5.0
+
+#: The registered sweep the shortlist gate runs: 3 sources x 5 green
+#: fractions, 13 distinct problems (the 0 % points canonicalise alike).
+SWEEP_SCENARIO = "fig08"
+
+#: Filter shortlists the sweep must build and reuse, exactly: one at 0 %
+#: green, one per source at 25 % and one per source at 50 %, reused by the
+#: 75 % and 100 % points.
+SWEEP_SHORTLIST_BUILDS = 7
+SWEEP_SHORTLIST_HITS = 6
+
+#: Ceiling on native bases converted to status arrays over the sweep
+#: (currently 35; 201 when every splice projected the basis eagerly).
+SWEEP_BASIS_CONVERSIONS_CEILING = 40
 
 
 @contextlib.contextmanager
@@ -134,6 +158,22 @@ def run_profile_stage() -> dict:
         "chunks": tally["build_profile_chunk"],
         "grid_hours": grid.num_epochs * grid.hours_per_epoch,
         "elapsed_s": elapsed,
+    }
+
+
+def run_sweep_stage() -> dict:
+    """Run the registered sweep through one serial runner, counting the work."""
+    tally: Dict[str, int] = {}
+    runner = ExperimentRunner(workers=1, executor="serial")
+    with _counting(highs_backend, "status_arrays", tally, lambda *a: 1):
+        results = runner.run(get_scenario(SWEEP_SCENARIO).build())
+    stats = runner.cache_stats()
+    return {
+        "points": len(results),
+        "feasible": all(point.record["feasible"] for point in results),
+        "shortlist_builds": stats["shortlist_builds"],
+        "shortlist_hits": stats["shortlist_hits"],
+        "basis_conversions": tally["status_arrays"],
     }
 
 
@@ -217,6 +257,36 @@ def main() -> int:
         print(
             f"FAIL: the profile stage took {stage['elapsed_s']:.3f}s, above the "
             f"{PROFILE_SECONDS_CEILING:.1f}s ceiling"
+        )
+        return 1
+
+    sweep = run_sweep_stage()
+    print(
+        f"{SWEEP_SCENARIO} sweep {sweep['points']} points: "
+        f"{sweep['shortlist_builds']} shortlists built (exactly {SWEEP_SHORTLIST_BUILDS}), "
+        f"{sweep['shortlist_hits']} reused (exactly {SWEEP_SHORTLIST_HITS}), "
+        f"{sweep['basis_conversions']} bases converted to status arrays "
+        f"(ceiling {SWEEP_BASIS_CONVERSIONS_CEILING})"
+    )
+    if not sweep["feasible"]:
+        print(f"FAIL: a point of the {SWEEP_SCENARIO} sweep became infeasible")
+        return 1
+    if (sweep["shortlist_builds"], sweep["shortlist_hits"]) != (
+        SWEEP_SHORTLIST_BUILDS,
+        SWEEP_SHORTLIST_HITS,
+    ):
+        print(
+            f"FAIL: the runner built {sweep['shortlist_builds']} filter shortlists and "
+            f"reused {sweep['shortlist_hits']}, not {SWEEP_SHORTLIST_BUILDS} and "
+            f"{SWEEP_SHORTLIST_HITS} — points with the same scoring problem no longer "
+            "share one shortlist, or points that differ do"
+        )
+        return 1
+    if sweep["basis_conversions"] > SWEEP_BASIS_CONVERSIONS_CEILING:
+        print(
+            f"FAIL: the sweep converted {sweep['basis_conversions']} native bases to "
+            f"status arrays, above the {SWEEP_BASIS_CONVERSIONS_CEILING} ceiling — "
+            "splices are projecting the basis before it is read"
         )
         return 1
     print("perf smoke OK")

@@ -36,12 +36,13 @@ skeleton is built once per ``(location, size class)`` pair.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, MutableMapping, Optional, Sequence, Tuple
 
 from repro.core.problem import GreenEnforcement, SitingProblem
 from repro.core.provisioning import (
@@ -80,6 +81,10 @@ from repro.parallel.work import (
 #: combination of a remove and an add in one step, and "merge" removes one
 #: datacenter letting the LP grow the remaining ones).
 MOVES = ("add", "remove", "swap", "resize", "merge")
+
+#: Filter shortlists shared across solvers of one candidate profile set:
+#: scoring-problem key -> (shortlist, filter stats of the pass that built it).
+Shortlists = MutableMapping[Tuple, Tuple[Tuple[str, ...], Dict[str, float]]]
 
 
 @dataclass
@@ -166,6 +171,13 @@ class SearchSettings:
         unknown = set(self.move_weights) - set(MOVES)
         if unknown:
             raise ValueError(f"unknown neighbour moves: {sorted(unknown)}")
+        for move, weight in self.move_weights.items():
+            if not isinstance(weight, numbers.Real) or not math.isfinite(weight) or weight < 0:
+                raise ValueError(
+                    f"the weight of move {move!r} must be a finite number >= 0, got {weight!r}"
+                )
+        if not any(weight > 0 for weight in self.move_weights.values()):
+            raise ValueError("at least one neighbour move needs a positive weight")
 
 
 @dataclass
@@ -202,6 +214,7 @@ class HeuristicSolver:
         settings: Optional[SearchSettings] = None,
         solver_options: Optional[SolverOptions] = None,
         compiler: Optional[ProvisioningCompiler] = None,
+        shortlists: Optional[Shortlists] = None,
     ) -> None:
         self.problem = problem
         self.settings = settings or SearchSettings()
@@ -210,6 +223,12 @@ class HeuristicSolver:
         # problem (same profiles, parameters and scenario switches); the
         # ExperimentRunner keys its shared compilers by that problem signature.
         self._compiler = compiler or ProvisioningCompiler(problem)
+        # Filter shortlists shared with other solvers over the same candidate
+        # profiles (the ExperimentRunner keeps one mapping per profile set),
+        # keyed by the content of the scoring problem; the scope tells a
+        # coarse-grid sub-solver's entries apart from the fine grid's.
+        self._shortlists = shortlists
+        self._shortlist_scope: Tuple = ()
         # The memo key is the canonical sorted (location, class) tuple, so
         # any move order that reaches the same siting hits the same entry.
         self._cache: Dict[Tuple[Tuple[str, str], ...], Future] = {}
@@ -294,6 +313,14 @@ class HeuristicSolver:
         locations that are similar (e.g., same time zone)"), which is what
         allows follow-the-renewables solutions — especially solar-heavy,
         no-storage ones — to place datacenters around the globe.
+
+        With a shared ``shortlists`` mapping, the pass runs once per scoring
+        problem.  The key holds only content: the frozen scoring parameters,
+        the scoring sources, storage and green enforcement, ``keep`` and the
+        screen/batch switches (plus the coarsening factor of an adaptive
+        sub-solver).  Points of a cost-vs-green sweep above the 50 % scoring
+        cap all price the same problem, so later ones return the stored
+        shortlist and copy its filter stats, with ``filter_shortlist_hit`` set.
         """
         problem = self.problem
         settings = self.settings
@@ -321,6 +348,24 @@ class HeuristicSolver:
             if settings.filter_batch is not None
             else pricing_problem.num_epochs >= 2
         )
+        keep = max(settings.keep_locations, problem.min_datacenters)
+        # Everything the shortlist depends on besides the candidate profiles,
+        # which the owner of the shared mapping holds fixed.
+        shortlist_key = self._shortlist_scope + (
+            pricing_params,
+            pricing_problem.sources,
+            pricing_problem.storage,
+            pricing_problem.green_enforcement,
+            keep,
+            use_screen,
+            use_batch,
+        )
+        if self._shortlists is not None:
+            stored = self._shortlists.get(shortlist_key)
+            if stored is not None:
+                shortlist, stats = stored
+                self._filter_stats = {**stats, "filter_shortlist_hit": 1.0}
+                return list(shortlist)
         profiles = pricing_problem.profiles
         sitings = [
             (profile.name, single_site_size_class(share_kw, profile, pricing_params))
@@ -328,7 +373,6 @@ class HeuristicSolver:
         ]
         longitudes = [profile.location.point.longitude for profile in profiles]
         bands = [int((longitude + 180.0) // 45.0) for longitude in longitudes]
-        keep = max(settings.keep_locations, problem.min_datacenters)
         factory = self._factory()
         pricing_compiler = ProvisioningCompiler(pricing_problem)
 
@@ -396,6 +440,7 @@ class HeuristicSolver:
             "filter_screen_rate": priced / len(profiles) if profiles else 0.0,
             "filter_screen": float(use_screen),
             "filter_batched": float(use_batch),
+            "filter_shortlist_hit": 0.0,
         }
 
         scored.sort()
@@ -414,6 +459,11 @@ class HeuristicSolver:
                 break
             if name not in selected:
                 selected.append(name)
+        if self._shortlists is not None:
+            # Concurrent misses compute the same deterministic shortlist.
+            self._shortlists.setdefault(
+                shortlist_key, (tuple(selected), dict(self._filter_stats))
+            )
         return selected
 
     def _price_filter_round(
@@ -744,7 +794,9 @@ class HeuristicSolver:
             coarse_problem,
             replace(settings, coarse_epoch_factor=1),
             self.solver_options,
+            shortlists=self._shortlists,
         )
+        sub._shortlist_scope = self._shortlist_scope + (("coarse_epoch_factor", factor),)
         coarse = sub.solve()
         # Accumulate (a solver can be solved more than once) so the public
         # counters stay consistent with the returned solution's stats.

@@ -34,13 +34,18 @@ padding/projection: retained columns and rows keep their statuses, new
 columns enter nonbasic at a finite bound and new rows enter with a basic
 slack.  When deletions make the projected basis non-square it is installed
 as an "alien" basis that HiGHS repairs, which is still far cheaper than a
-cold start.  The siting search uses this to express its add/remove/swap
-moves as deltas on one persistent per-chain model.
+cold start.  The projection is lazy: edits only queue their padding or
+deletion, and the queue is replayed when a projected basis is installed or
+its statuses are read.  When the caller replaces the projection with a
+stored same-shape basis (:meth:`MutableHighsModel.restore_basis`), the
+queue is dropped and the native basis is never converted to arrays.  The
+siting search uses this to express its add/remove/swap moves as deltas on
+one persistent per-chain model.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -183,6 +188,25 @@ def solve_row_form(
     return result.raise_for_status() if check else result
 
 
+class BasisSnapshot(NamedTuple):
+    """A native HiGHS basis and the model dimensions it was taken at."""
+
+    basis: Any
+    num_cols: int
+    num_rows: int
+
+
+def status_arrays(basis: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """Int column/row status arrays of a native ``HighsBasis``.
+
+    The only place a native basis becomes arrays: each status crosses
+    pybind11 one at a time (~0.5 µs), which is why the projection is lazy.
+    """
+    col_status = np.fromiter((int(s) for s in basis.col_status), dtype=np.int32)
+    row_status = np.fromiter((int(s) for s in basis.row_status), dtype=np.int32)
+    return col_status, row_status
+
+
 class MutableHighsModel:
     """One HiGHS instance whose loaded LP is mutated in place between solves.
 
@@ -200,6 +224,15 @@ class MutableHighsModel:
       is no longer a square basis; it is installed with ``alien=True`` and
       HiGHS repairs it, which still preserves most of the basis information.
 
+    The projection is lazy: structural edits only queue their padding or
+    deletion, and the queue is replayed onto int status arrays when
+    something reads them (:meth:`install_basis` of an edited basis,
+    :meth:`capture_block_status`/:meth:`overlay_block_status`, or the
+    validator).  :meth:`restore_basis`, an optimal :meth:`solve`,
+    :meth:`load` and :meth:`clear_basis` drop the queue unread, so a splice
+    whose projection is about to be replaced by a stored same-shape basis
+    never converts the native basis at all.
+
     Instances are not thread-safe: one mutable model per annealing chain.
     """
 
@@ -208,31 +241,54 @@ class MutableHighsModel:
         self._highs.setOptionValue("output_flag", False)
         self.num_cols = 0
         self.num_rows = 0
-        # The basis travels in two forms.  ``_basis_obj`` is the native
+        # The basis travels in two forms.  ``_snapshot`` holds the native
         # HighsBasis of the last optimal solve (or one restored by the
-        # caller): installing it costs nothing in Python.  ``_col_status``/
-        # ``_row_status`` are int arrays used only to *project* the basis
-        # across structural edits — they are derived lazily from the native
-        # object on the first edit, padded/filtered as columns and rows come
-        # and go, and converted back (the slow path) only when a projected
+        # caller) with the dimensions it was taken at: installing it costs
+        # nothing in Python.  ``_col_status``/``_row_status`` are int arrays
+        # used only to *project* the basis across structural edits; they are
+        # derived from the native object when ``_pending`` edits are
+        # replayed, and converted back (the slow path) only when a projected
         # basis actually has to be installed.
-        self._basis_obj = None
+        self._snapshot: Optional[BasisSnapshot] = None
+        self._pending: List[Tuple[str, np.ndarray]] = []
         self._projection_dirty = False
         self._col_status: Optional[np.ndarray] = None
         self._row_status: Optional[np.ndarray] = None
 
+    def _forget_basis(self, snapshot: Optional[BasisSnapshot] = None) -> None:
+        """Carry ``snapshot`` (None: no basis) and drop every projection."""
+        self._snapshot = snapshot
+        self._pending = []
+        self._projection_dirty = False
+        self._col_status = None
+        self._row_status = None
+
+    def _queue(self, edit: str, values: np.ndarray) -> None:
+        """Record a structural edit for the projection (nothing when cold)."""
+        if self._snapshot is not None:
+            self._pending.append((edit, values))
+
     def _ensure_status_arrays(self) -> bool:
-        """Materialise the int status arrays from the native basis object."""
-        if self._col_status is not None and self._row_status is not None:
-            return True
-        if self._basis_obj is None:
-            return False
-        self._col_status = np.fromiter(
-            (int(s) for s in self._basis_obj.col_status), dtype=np.int32
-        )
-        self._row_status = np.fromiter(
-            (int(s) for s in self._basis_obj.row_status), dtype=np.int32
-        )
+        """Replay the queued edits onto the int status arrays.
+
+        Materialises the arrays from the native basis first when needed;
+        False when there is no basis to project.
+        """
+        if self._col_status is None or self._row_status is None:
+            if self._snapshot is None:
+                return False
+            self._col_status, self._row_status = status_arrays(self._snapshot.basis)
+        for edit, values in self._pending:
+            if edit == "add_cols":
+                self._col_status = np.concatenate([self._col_status, values])
+            elif edit == "add_rows":
+                self._row_status = np.concatenate([self._row_status, values])
+            elif edit == "delete_cols":
+                self._col_status = np.delete(self._col_status, values)
+            else:
+                self._row_status = np.delete(self._row_status, values)
+            self._projection_dirty = True
+        self._pending = []
         return True
 
     # -- structural edits -------------------------------------------------------
@@ -247,10 +303,7 @@ class MutableHighsModel:
             )
         self._highs.passModel(_build_lp(row_form))
         self.num_rows, self.num_cols = row_form.shape
-        self._basis_obj = None
-        self._projection_dirty = False
-        self._col_status = None
-        self._row_status = None
+        self._forget_basis()
 
     def add_cols(
         self,
@@ -273,13 +326,11 @@ class MutableHighsModel:
             np.ascontiguousarray(row_indices, dtype=np.int32),
             np.ascontiguousarray(values, dtype=np.float64),
         )
-        if self._ensure_status_arrays():
-            # Nonbasic at a finite bound; free columns sit at zero.
-            padding = np.where(
-                np.isfinite(lower), _LOWER, np.where(np.isfinite(upper), _UPPER, _ZERO)
-            ).astype(np.int32)
-            self._col_status = np.concatenate([self._col_status, padding])
-            self._projection_dirty = True
+        # Nonbasic at a finite bound; free columns sit at zero.
+        padding = np.where(
+            np.isfinite(lower), _LOWER, np.where(np.isfinite(upper), _UPPER, _ZERO)
+        ).astype(np.int32)
+        self._queue("add_cols", padding)
         self.num_cols += count
 
     def add_rows(
@@ -301,26 +352,19 @@ class MutableHighsModel:
             np.ascontiguousarray(col_indices, dtype=np.int32),
             np.ascontiguousarray(values, dtype=np.float64),
         )
-        if self._ensure_status_arrays():
-            padding = np.full(count, _BASIC, dtype=np.int32)
-            self._row_status = np.concatenate([self._row_status, padding])
-            self._projection_dirty = True
+        self._queue("add_rows", np.full(count, _BASIC, dtype=np.int32))
         self.num_rows += count
 
     def delete_cols(self, indices: np.ndarray) -> None:
         indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
         self._highs.deleteCols(len(indices), indices)
-        if self._ensure_status_arrays():
-            self._col_status = np.delete(self._col_status, indices)
-            self._projection_dirty = True
+        self._queue("delete_cols", indices)
         self.num_cols -= len(indices)
 
     def delete_rows(self, indices: np.ndarray) -> None:
         indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
         self._highs.deleteRows(len(indices), indices)
-        if self._ensure_status_arrays():
-            self._row_status = np.delete(self._row_status, indices)
-            self._projection_dirty = True
+        self._queue("delete_rows", indices)
         self.num_rows -= len(indices)
 
     # -- value edits ------------------------------------------------------------
@@ -385,25 +429,37 @@ class MutableHighsModel:
         self._row_status[row_start : row_start + len(row_status)] = row_status
         self._projection_dirty = True
 
-    def basis_snapshot(self) -> Optional[Any]:
-        """The native basis of the last optimal solve (None when cold)."""
-        return self._basis_obj if not self._projection_dirty else None
+    def projected_status(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The projected basis with every queued edit replayed.
 
-    def restore_basis(self, basis: Any) -> None:
+        None when nothing is projected: a cold model, or a native basis with
+        no edits since.  The validator reads this to check that the padding
+        kept pace with the splices.
+        """
+        if not self._pending and self._col_status is None:
+            return None
+        self._ensure_status_arrays()
+        return self._col_status, self._row_status
+
+    def basis_snapshot(self) -> Optional[BasisSnapshot]:
+        """The native basis of the last optimal solve (None when cold or edited)."""
+        if self._pending or self._projection_dirty:
+            return None
+        return self._snapshot
+
+    def restore_basis(self, snapshot: BasisSnapshot) -> None:
         """Adopt a stored native basis (e.g. from an earlier same-shape model).
 
-        The basis must match the model's current dimensions; the caller
-        guarantees compatibility (site blocks are structurally identical, so
-        a same-shape basis transfers across different location mixes the same
-        way :class:`HighsSolveContext` reuses bases across the pricing
-        sweep).  Installing a native object costs nothing in Python, unlike
-        the projected-array path.
+        The snapshot is ignored unless it was taken at the model's current
+        dimensions; the caller guarantees compatibility beyond that (site
+        blocks are structurally identical, so a same-shape basis transfers
+        across different location mixes the same way
+        :class:`HighsSolveContext` reuses bases across the pricing sweep).
+        Adopting it drops any queued projection unread; installing a native
+        object costs nothing in Python, unlike the projected-array path.
         """
-        if len(basis.col_status) == self.num_cols and len(basis.row_status) == self.num_rows:
-            self._basis_obj = basis
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+        if (snapshot.num_cols, snapshot.num_rows) == (self.num_cols, self.num_rows):
+            self._forget_basis(snapshot)
 
     def clear_basis(self) -> None:
         """Drop every carried basis so the next solve starts cold.
@@ -413,10 +469,7 @@ class MutableHighsModel:
         culprit for a spurious non-optimal status, and clearing it is far
         cheaper than rebuilding the whole model.
         """
-        self._basis_obj = None
-        self._projection_dirty = False
-        self._col_status = None
-        self._row_status = None
+        self._forget_basis()
         clear = getattr(self._highs, "clearSolver", None)
         if clear is not None:
             clear()
@@ -425,25 +478,24 @@ class MutableHighsModel:
     def install_basis(self) -> None:
         """Install the carried basis: native when clean, projected when edited.
 
-        After structural edits the projected arrays are converted back to a
-        HighsBasis; when deletions removed basic columns (or nonbasic rows)
-        the projection is no longer square and is installed as *alien* so
-        HiGHS repairs it instead of rejecting it.
+        After structural edits the queued edits are replayed and the
+        projected arrays converted back to a HighsBasis; when deletions
+        removed basic columns (or nonbasic rows) the projection is no longer
+        square and is installed as *alien* so HiGHS repairs it instead of
+        rejecting it.
         """
-        if not self._projection_dirty:
-            if self._basis_obj is not None:
-                self._highs.setBasis(self._basis_obj)
+        if not self._pending and not self._projection_dirty:
+            if self._snapshot is not None:
+                self._highs.setBasis(self._snapshot.basis)
             return
+        self._ensure_status_arrays()
         if (
             self._col_status is None
             or self._row_status is None
             or len(self._col_status) != self.num_cols
             or len(self._row_status) != self.num_rows
         ):  # pragma: no cover - projection drifted; fall back to cold
-            self._basis_obj = None
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+            self._forget_basis()
             return
         basis = _core.HighsBasis()
         basis.col_status = [_BASIS_STATUSES[s] for s in self._col_status]
@@ -481,10 +533,9 @@ class MutableHighsModel:
         if status is SolveStatus.OPTIMAL:
             x = np.asarray(self._highs.getSolution().col_value, dtype=float)
             objective = float(self._highs.getObjectiveValue())
-            self._basis_obj = self._highs.getBasis()
-            self._projection_dirty = False
-            self._col_status = None
-            self._row_status = None
+            self._forget_basis(
+                BasisSnapshot(self._highs.getBasis(), self.num_cols, self.num_rows)
+            )
         else:
             x = None
             objective = float("nan")

@@ -307,10 +307,12 @@ def validate_mutable_model(model: Any, label: str = "mutable HiGHS model") -> No
 
     * the tracked ``num_cols``/``num_rows`` must match what HiGHS actually
       holds (a drift means a splice miscounted an add/delete range);
-    * the projected basis status arrays, when materialised, must match the
-      tracked dimensions (a mismatch means padding after an add/delete range
-      was skipped or mis-sized — installing such a basis corrupts the warm
-      start silently, because HiGHS "repairs" it);
+    * the carried basis must match the tracked dimensions: a native basis
+      by the dimensions it was taken at, a projected one by its status
+      arrays with every queued splice edit replayed (a mismatch means
+      padding after an add/delete range was skipped or mis-sized —
+      installing such a basis corrupts the warm start silently, because
+      HiGHS "repairs" it);
     * the spliced model's costs/bounds/values must be NaN-free with no
       crossed bounds, and every row whose bounds exclude 0 must have matrix
       entries — staged rows (loaded empty, filled by later ``add_cols``) must
@@ -334,8 +336,20 @@ def validate_mutable_model(model: Any, label: str = "mutable HiGHS model") -> No
         violations.append(
             f"tracked num_rows={model.num_rows} but HiGHS holds {actual_rows} rows"
         )
-    col_status = getattr(model, "_col_status", None)
-    row_status = getattr(model, "_row_status", None)
+    # A native basis carried with no edits since must fit as it is.
+    snapshot = model.basis_snapshot()
+    if snapshot is not None and (snapshot.num_cols, snapshot.num_rows) != (
+        model.num_cols,
+        model.num_rows,
+    ):
+        violations.append(
+            f"carried basis was taken at {snapshot.num_cols} columns and "
+            f"{snapshot.num_rows} rows, the model has {model.num_cols} and "
+            f"{model.num_rows} (basis padding after a splice drifted)"
+        )
+    # Replays the queued splice edits, so skipped padding shows up here.
+    projected = model.projected_status()
+    col_status, row_status = projected if projected is not None else (None, None)
     if col_status is not None and len(col_status) != model.num_cols:
         violations.append(
             f"projected basis has {len(col_status)} column statuses for "

@@ -8,6 +8,9 @@ sweep cheaper than independent runs:
 
 * one world catalogue / profile set per (catalogue, grid, candidates) key —
   profile synthesis dominates small runs and is identical across points;
+* one filter shortlist per scoring problem over each profile set — the
+  filter caps the scoring green share at 50 %, so the higher points of a
+  cost-vs-green curve reuse the shortlist the first of them built;
 * one :class:`~repro.core.provisioning.ProvisioningCompiler` per *problem
   signature* (the spec fields that define the fixed-siting LP), so sweep
   points that differ only in search settings reuse the compiled per-site
@@ -19,8 +22,9 @@ sweep cheaper than independent runs:
   re-running an unchanged scenario is a file read.
 
 Execution is deterministic for a fixed spec: every point owns its seeded
-heuristic search, points never share mutable solver state, and the result
-order is the sweep order no matter how many workers run the points.
+heuristic search, points share only caches whose entries are a function of
+their key (two racing misses compute the same entry), and the result order
+is the sweep order no matter how many workers run the points.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.heuristic import HeuristicSolver
+from repro.core.heuristic import HeuristicSolution, HeuristicSolver, Shortlists
 from repro.core.parameters import FrameworkParameters
 from repro.core.provisioning import ProvisioningCompiler
 from repro.core.single_site import SingleSiteAnalyzer
@@ -200,6 +204,7 @@ class ExperimentRunner:
         self.solver_options = solver_options or SolverOptions()
         self._catalogs: Dict[Tuple, object] = {}
         self._profiles: Dict[Tuple, list] = {}
+        self._shortlists: Dict[Tuple, Shortlists] = {}
         self._problems: Dict[str, Tuple[object, ProvisioningCompiler]] = {}
         self._memo: Dict[str, Future] = {}
         self._lock = threading.Lock()
@@ -208,7 +213,8 @@ class ExperimentRunner:
         #: Points recovered by re-running serially after a dead process pool.
         self.process_fallbacks = 0
         #: Warm-vs-cold cache accounting (catalogue/profile/problem rebuilds,
-        #: on-disk artifact hits, futures-memo dedup hits); see
+        #: filter shortlists built and reused, on-disk artifact hits,
+        #: futures-memo dedup hits); see
         #: :meth:`cache_stats`.  Guarded by ``self._lock``.
         self.cache_counters: Dict[str, int] = {
             "catalog_hits": 0,
@@ -217,6 +223,8 @@ class ExperimentRunner:
             "profile_builds": 0,
             "problem_hits": 0,
             "problem_builds": 0,
+            "shortlist_hits": 0,
+            "shortlist_builds": 0,
             "artifact_hits": 0,
             "artifact_misses": 0,
             "memo_hits": 0,
@@ -402,16 +410,30 @@ class ExperimentRunner:
         return result
 
     # -- workflows ------------------------------------------------------------
-    def _run_plan(self, spec: ScenarioSpec) -> Tuple[Dict[str, Any], Any]:
-        tool = self.tool_for(spec)
-        problem, compiler = self._problem_for(spec, tool)
+    def _solve_heuristic(
+        self, spec: ScenarioSpec, tool: PlacementTool, problem: Any, compiler: Any
+    ) -> HeuristicSolution:
+        """Run the spec's heuristic search with the runner's shared caches."""
+        with self._lock:
+            shortlists = self._shortlists.setdefault(self._profile_key(spec), {})
         solver = HeuristicSolver(
             problem,
             settings=spec.build_search_settings(),
             solver_options=tool.solver_options,
             compiler=compiler,
+            shortlists=shortlists,
         )
         solution = solver.solve()
+        if solution.stats.get("filter_shortlist_hit"):
+            self._count("shortlist_hits")
+        else:
+            self._count("shortlist_builds")
+        return solution
+
+    def _run_plan(self, spec: ScenarioSpec) -> Tuple[Dict[str, Any], Any]:
+        tool = self.tool_for(spec)
+        problem, compiler = self._problem_for(spec, tool)
+        solution = self._solve_heuristic(spec, tool, problem, compiler)
         record: Dict[str, Any] = {
             "workflow": "plan",
             "feasible": bool(solution.feasible),
@@ -607,13 +629,7 @@ class ExperimentRunner:
 
         tool = self.tool_for(spec)
         problem, compiler = self._problem_for(spec, tool)
-        solver = HeuristicSolver(
-            problem,
-            settings=spec.build_search_settings(),
-            solver_options=tool.solver_options,
-            compiler=compiler,
-        )
-        solution = solver.solve()
+        solution = self._solve_heuristic(spec, tool, problem, compiler)
         record: Dict[str, Any] = {
             "workflow": "operate",
             "feasible": bool(solution.feasible),
@@ -651,8 +667,10 @@ class ExperimentRunner:
             self._count("catalog_hits")
         return catalog
 
-    def _profiles_for(self, spec: ScenarioSpec, tool: PlacementTool) -> list:
-        key = (
+    @staticmethod
+    def _profile_key(spec: ScenarioSpec) -> Tuple:
+        """The fields that define a spec's candidate profile set."""
+        return (
             spec.num_locations,
             spec.catalog_seed,
             spec.include_anchors,
@@ -660,6 +678,9 @@ class ExperimentRunner:
             spec.hours_per_epoch,
             spec.candidate_names,
         )
+
+    def _profiles_for(self, spec: ScenarioSpec, tool: PlacementTool) -> list:
+        key = self._profile_key(spec)
         with self._lock:
             profiles = self._profiles.get(key)
         if profiles is None:

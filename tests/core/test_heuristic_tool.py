@@ -1,5 +1,7 @@
 """Tests for the heuristic solver, the full MILP and the placement tool."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,8 @@ from repro.core import (
     solve_full_milp,
     solve_provisioning,
 )
+from repro.core.heuristic import MOVES
+from repro.scenarios import ScenarioSpec
 
 
 class TestSearchSettings:
@@ -32,6 +36,33 @@ class TestSearchSettings:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SearchSettings(**kwargs)
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ({move: 0.0 for move in MOVES}, "positive weight"),
+            ({}, "positive weight"),
+            ({"add": 1.0, "swap": math.inf}, "'swap' must be a finite number"),
+            ({"add": 1.0, "remove": -0.5}, "'remove' must be a finite number"),
+            ({"add": 1.0, "merge": math.nan}, "'merge' must be a finite number"),
+            ({"add": 1.0, "resize": "2"}, "'resize' must be a finite number"),
+        ],
+    )
+    def test_move_weights_rejected(self, weights, match):
+        with pytest.raises(ValueError, match=match):
+            SearchSettings(move_weights=weights)
+
+    def test_zero_weight_for_one_move_stays_legal(self):
+        settings = SearchSettings(move_weights={"add": 1.0, "merge": 0.0})
+        assert settings.move_weights["merge"] == 0.0
+
+    @pytest.mark.parametrize(
+        "weights", [{"add": 0.0}, {"swap": math.inf}, {"remove": -1.0}, {"merge": math.nan}]
+    )
+    def test_spec_search_block_rejects_bad_move_weights(self, weights):
+        spec = ScenarioSpec(search={"move_weights": weights})
+        with pytest.raises(ValueError, match="weight"):
+            spec.build_search_settings()
 
 
 class TestSingleSiteAnalyzer:

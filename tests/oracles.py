@@ -10,7 +10,9 @@ tests pin both against independent references kept here:
   in front of HiGHS instead of the direct bindings;
 * :class:`ScalarProvisioningBuilder` builds the Fig. 1 provisioning LP with
   the readable per-epoch object API (``for t in range(num_epochs)``), the
-  reference formulation the vectorized builder must reproduce exactly.
+  reference formulation the vectorized builder must reproduce exactly;
+* :class:`EagerProjectionModel` projects the :class:`MutableHighsModel`
+  basis eagerly on every splice, the reference for the lazy projection.
 
 The profile build is pinned the same way: :func:`reference_profiles` builds
 :class:`~repro.energy.profiles.LocationProfile` objects from full-year TMYs
@@ -26,7 +28,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -39,6 +41,15 @@ from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
 from repro.geo.coordinates import GeoPoint, haversine_km
 from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
+from repro.lpsolver.highs_backend import (
+    _BASIC,
+    _BASIS_STATUSES,
+    _LOWER,
+    _UPPER,
+    _ZERO,
+    MutableHighsModel,
+    _core,
+)
 from repro.lpsolver.result import SolveResult, SolveStatus
 from repro.lpsolver.solvers import _finalise
 from repro.weather.locations import WorldCatalog
@@ -501,3 +512,180 @@ def profile_digest(profiles: Iterable[LocationProfile]) -> str:
             struct.pack("<5d", *(getattr(profile, name) for name in PROFILE_SCALARS))
         )
     return digest.hexdigest()
+
+
+class EagerProjectionModel(MutableHighsModel):
+    """:class:`MutableHighsModel` with the eager basis projection.
+
+    Every structural edit converts the native basis to int status arrays at
+    once and pads or filters them in place; the library queues the edits
+    and replays them only when the projection is read.  The projection
+    methods below are the eager implementation verbatim, so the basis this
+    model installs is the reference the lazy one must match.  Loading,
+    solving and restoring are inherited: they only set or drop the carried
+    basis, which both implementations do alike.
+    """
+
+    @property
+    def _basis_obj(self):
+        return self._snapshot.basis if self._snapshot is not None else None
+
+    @_basis_obj.setter
+    def _basis_obj(self, basis) -> None:
+        # The eager code only ever assigns None here (the drift fallback).
+        self._snapshot = None
+
+    def _ensure_status_arrays(self) -> bool:
+        """Materialise the int status arrays from the native basis object."""
+        if self._col_status is not None and self._row_status is not None:
+            return True
+        if self._basis_obj is None:
+            return False
+        self._col_status = np.fromiter(
+            (int(s) for s in self._basis_obj.col_status), dtype=np.int32
+        )
+        self._row_status = np.fromiter(
+            (int(s) for s in self._basis_obj.row_status), dtype=np.int32
+        )
+        return True
+
+    def add_cols(
+        self,
+        cost: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        starts: np.ndarray,
+        row_indices: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Append columns; matrix entries may reference any existing row."""
+        count = len(cost)
+        self._highs.addCols(
+            count,
+            np.ascontiguousarray(cost, dtype=np.float64),
+            np.ascontiguousarray(lower, dtype=np.float64),
+            np.ascontiguousarray(upper, dtype=np.float64),
+            len(values),
+            np.ascontiguousarray(starts, dtype=np.int32),
+            np.ascontiguousarray(row_indices, dtype=np.int32),
+            np.ascontiguousarray(values, dtype=np.float64),
+        )
+        if self._ensure_status_arrays():
+            # Nonbasic at a finite bound; free columns sit at zero.
+            padding = np.where(
+                np.isfinite(lower), _LOWER, np.where(np.isfinite(upper), _UPPER, _ZERO)
+            ).astype(np.int32)
+            self._col_status = np.concatenate([self._col_status, padding])
+            self._projection_dirty = True
+        self.num_cols += count
+
+    def add_rows(
+        self,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        starts: np.ndarray,
+        col_indices: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Append rows; matrix entries may reference any existing column."""
+        count = len(lower)
+        self._highs.addRows(
+            count,
+            np.ascontiguousarray(lower, dtype=np.float64),
+            np.ascontiguousarray(upper, dtype=np.float64),
+            len(values),
+            np.ascontiguousarray(starts, dtype=np.int32),
+            np.ascontiguousarray(col_indices, dtype=np.int32),
+            np.ascontiguousarray(values, dtype=np.float64),
+        )
+        if self._ensure_status_arrays():
+            padding = np.full(count, _BASIC, dtype=np.int32)
+            self._row_status = np.concatenate([self._row_status, padding])
+            self._projection_dirty = True
+        self.num_rows += count
+
+    def delete_cols(self, indices: np.ndarray) -> None:
+        indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
+        self._highs.deleteCols(len(indices), indices)
+        if self._ensure_status_arrays():
+            self._col_status = np.delete(self._col_status, indices)
+            self._projection_dirty = True
+        self.num_cols -= len(indices)
+
+    def delete_rows(self, indices: np.ndarray) -> None:
+        indices = np.ascontiguousarray(np.sort(indices), dtype=np.int32)
+        self._highs.deleteRows(len(indices), indices)
+        if self._ensure_status_arrays():
+            self._row_status = np.delete(self._row_status, indices)
+            self._projection_dirty = True
+        self.num_rows -= len(indices)
+
+    def capture_block_status(
+        self, col_start: int, col_stop: int, row_start: int, row_stop: int
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Int basis statuses of a column/row block, or None when cold.
+
+        Callers use this to remember the statuses of a block about to be
+        deleted (a leaving site, an expiring horizon step) so they can be
+        transplanted onto a structurally identical replacement block with
+        :meth:`overlay_block_status` — the "per-block basis memory" idea.
+        """
+        if not self._ensure_status_arrays():
+            return None
+        return (
+            self._col_status[col_start:col_stop].copy(),
+            self._row_status[row_start:row_stop].copy(),
+        )
+
+    def overlay_block_status(
+        self,
+        col_start: int,
+        col_status: np.ndarray,
+        row_start: int,
+        row_status: np.ndarray,
+    ) -> None:
+        """Overwrite the projected statuses of a block with captured ones.
+
+        The overlay usually makes the projected basis non-square (the
+        transplanted block brings its own basic columns), so it is installed
+        as an alien basis that HiGHS repairs — the point is preserving the
+        block-local structure of the basis, not its exact squareness.
+        """
+        if not self._ensure_status_arrays():
+            return
+        self._col_status[col_start : col_start + len(col_status)] = col_status
+        self._row_status[row_start : row_start + len(row_status)] = row_status
+        self._projection_dirty = True
+
+    def install_basis(self) -> None:
+        """Install the carried basis: native when clean, projected when edited.
+
+        After structural edits the projected arrays are converted back to a
+        HighsBasis; when deletions removed basic columns (or nonbasic rows)
+        the projection is no longer square and is installed as *alien* so
+        HiGHS repairs it instead of rejecting it.
+        """
+        if not self._projection_dirty:
+            if self._basis_obj is not None:
+                self._highs.setBasis(self._basis_obj)
+            return
+        if (
+            self._col_status is None
+            or self._row_status is None
+            or len(self._col_status) != self.num_cols
+            or len(self._row_status) != self.num_rows
+        ):  # pragma: no cover - projection drifted; fall back to cold
+            self._basis_obj = None
+            self._projection_dirty = False
+            self._col_status = None
+            self._row_status = None
+            return
+        basis = _core.HighsBasis()
+        basis.col_status = [_BASIS_STATUSES[s] for s in self._col_status]
+        basis.row_status = [_BASIS_STATUSES[s] for s in self._row_status]
+        basic_total = int(np.count_nonzero(self._col_status == _BASIC)) + int(
+            np.count_nonzero(self._row_status == _BASIC)
+        )
+        basis.valid = True
+        basis.alien = basic_total != self.num_rows
+        self._highs.setBasis(basis)
