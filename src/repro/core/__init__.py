@@ -8,9 +8,10 @@ and III of the paper:
 * :class:`CostModel` / :class:`FinancingModel` — CAPEX/OPEX accounting with
   per-component financing and amortisation,
 * availability modelling for networks of Tier I-IV datacenters,
-* :class:`SitingProblem` and the Fig. 1 optimisation, available both as a
-  full MILP (:mod:`repro.core.formulation`) and as the fixed-siting LP used by
-  the heuristic (:mod:`repro.core.provisioning`),
+* :class:`SitingProblem` and the Fig. 1 optimisation as the fixed-siting LP
+  the heuristic solves for every siting it visits
+  (:mod:`repro.core.provisioning`; the full MILP, solvable only for a handful
+  of candidates, is the test-suite's exact oracle in ``tests/oracle_milp.py``),
 * :class:`HeuristicSolver` — location filtering plus the simulated-annealing
   search over sitings described in Section II-C, and
 * :class:`PlacementTool` — the high-level tool of Section III that produces a
@@ -29,7 +30,6 @@ from repro.core.provisioning import (
     solve_provisioning,
 )
 from repro.core.adaptive_grid import AdaptiveGridRefiner, coarsen_problem
-from repro.core.formulation import build_full_milp, solve_full_milp
 from repro.core.heuristic import HeuristicSolver, SearchSettings
 from repro.core.single_site import SingleSiteAnalyzer, SingleSiteCost
 from repro.core.solution import DatacenterPlan, NetworkPlan
@@ -55,10 +55,8 @@ __all__ = [
     "SitingProblem",
     "StorageMode",
     "Tier",
-    "build_full_milp",
     "coarsen_problem",
     "datacenters_needed",
     "network_availability",
-    "solve_full_milp",
     "solve_provisioning",
 ]

@@ -123,8 +123,8 @@ class SearchSettings:
     executor: str = "thread"
     #: Evaluate sequential-search moves on a persistent mutable HiGHS model
     #: (column/row deltas + projected-basis warm starts) instead of
-    #: rebuilding the LP per move.  ``None`` (default) auto-enables whenever
-    #: the grid has at least two epochs; False forces rebuilds.
+    #: rebuilding the LP per move.  ``None`` (default) enables it; False
+    #: forces rebuilds.
     incremental_lp: Optional[bool] = None
     #: Adaptive epoch grid: > 1 runs the filter and annealing search on a
     #: grid whose epochs are this factor coarser, then re-solves the best
@@ -144,9 +144,8 @@ class SearchSettings:
     filter_screen: Optional[bool] = None
     #: Stage-2 filter pricing: solve each pricing chunk as one block-diagonal
     #: mega-LP (:func:`~repro.core.screening.price_batch`) instead of per-site
-    #: warm-started solves.  ``None`` (default) auto-enables whenever the
-    #: pricing grid has at least two epochs (the stacked form needs the
-    #: row-form template); False forces the per-site path.
+    #: warm-started solves.  ``None`` (default) enables it; False forces the
+    #: per-site path.
     filter_batch: Optional[bool] = None
 
     def __post_init__(self) -> None:
@@ -344,9 +343,7 @@ class HeuristicSolver:
             settings.filter_screen if settings.filter_screen is not None else True
         )
         use_batch = (
-            settings.filter_batch
-            if settings.filter_batch is not None
-            else pricing_problem.num_epochs >= 2
+            settings.filter_batch if settings.filter_batch is not None else True
         )
         keep = max(settings.keep_locations, problem.min_datacenters)
         # Everything the shortlist depends on besides the candidate profiles,
@@ -631,11 +628,8 @@ class HeuristicSolver:
         use_incremental = (
             settings.incremental_lp if settings.incremental_lp is not None else True
         )
-        if (
-            parallel  # the evaluator is single-threaded; parallel chains solve cold
-            or not use_incremental
-            or not IncrementalSitingEvaluator.supported(problem)
-        ):
+        if parallel or not use_incremental:
+            # The evaluator is single-threaded; parallel chains solve cold.
             self._sa_incremental = None
         elif self._sa_incremental is None:
             self._sa_incremental = IncrementalSitingEvaluator(

@@ -15,12 +15,17 @@ This closes a loophole in the figure's aggregate form in which simultaneous
 charge/discharge could inflate the green numerator, and matches the intent
 described in Sections II-B and IV.
 
-The builder emits each per-epoch constraint family — power balance, battery
-dynamics, net-metering bank, migration coupling — as one
-:meth:`~repro.lpsolver.model.Model.add_linear_block` call of COO triplets,
-with the per-site triplet skeleton cached by a :class:`ProvisioningCompiler`
-so the annealing search pays assembly costs only once per
-``(location, size class)`` pair it visits.  The test suite keeps a readable
+The LP is assembled directly in HiGHS row form
+(:class:`~repro.lpsolver.model.RowFormLP`).  Each per-epoch constraint
+family — power balance, battery dynamics, net-metering bank, migration
+coupling — is one block of COO triplets in a per-site skeleton, cached by a
+:class:`ProvisioningCompiler` so the annealing search pays assembly costs
+only once per ``(location, size class)`` pair it visits; sitings of the same
+shape share one cached CSC pattern, so an assembly is one fancy-index of the
+concatenated values.  Every epoch grid, a single-epoch one included, takes
+this one path, and so do the batched pricing stack
+(:meth:`ProvisioningCompiler.compile_batch`) and the incremental evaluator
+(:class:`IncrementalSitingEvaluator`).  The test suite keeps a readable
 per-epoch object-API builder of the same LP as its reference oracle.
 
 Plan extraction is lazy: :class:`ProvisioningResult` materialises the
@@ -40,14 +45,9 @@ from repro.core.costs import CostModel
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
 from repro.core.solution import DatacenterPlan, NetworkPlan
 from repro.energy.profiles import LocationProfile
-from repro.lpsolver import (
-    ConstraintSense,
-    LinearExpression,
-    Model,
-    RowFormLP,
-    SolverOptions,
-)
+from repro.lpsolver import RowFormLP, SolverOptions
 from repro.lpsolver import highs_backend
+from repro.lpsolver.model import csc_pattern
 from repro.lpsolver import validate as lp_validate
 
 #: Per-epoch variable families of one site, in registration order (after the
@@ -64,6 +64,26 @@ _EPOCH_FAMILIES = (
     "net_discharge",
     "net_level",
 )
+
+def _merge_duplicates(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the triplets of one constraint block that share a ``(row, col)``.
+
+    The cyclic coupling of the migration and storage-level rows reads epoch
+    ``t - 1``, which on a single-epoch grid is ``t`` itself, so those blocks
+    name one coordinate twice.  The merged entry keeps the position of the
+    first occurrence (an explicit zero when the terms cancel), so a block
+    without duplicates comes back unchanged.
+    """
+    codes = rows * np.int64(cols.max() + 1) + cols
+    unique, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    if len(unique) == len(codes):
+        return rows, cols, vals
+    order = np.argsort(first)
+    keep = first[order]
+    return rows[keep], cols[keep], np.bincount(inverse, weights=vals)[order]
+
 
 @dataclass
 class _SiteLayout:
@@ -98,20 +118,17 @@ class _SiteSkeleton:
     """Cached constraint/objective skeleton of one ``(location, size class)``.
 
     Everything is expressed in site-local variable indices ``0..n-1``; the
-    compiler offsets rows and columns when stitching sites into a model.
-    ``blocks`` holds ``(rows, cols, vals, sense, rhs, name)`` tuples; the
-    ``tri_*``/``rhs``/mask fields carry the same triplets pre-concatenated
-    (with block-local row offsets applied) for the templated row-form path.
-    ``green_*`` holds the site's contribution to the cross-site minimum-green
-    coupling constraint.  Variable names are generated lazily — only the
-    Model route needs them.
+    compiler offsets rows and columns when stitching sites into an LP.
+    ``tri_*`` carry the site's constraint blocks as one concatenation of COO
+    triplets (site-local rows, one entry per ``(row, col)`` coordinate),
+    ``rhs`` and the ``le_mask``/``ge_mask`` sense masks one entry per row
+    (neither set: an equality).  ``green_*`` holds the site's contribution
+    to the cross-site minimum-green coupling constraint.
     """
 
-    location_name: str
     num_epochs: int
     lower: np.ndarray
     upper: np.ndarray
-    blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, ConstraintSense, np.ndarray, str]]
     objective_cols: np.ndarray
     objective_vals: np.ndarray
     fixed_cost: float
@@ -124,22 +141,10 @@ class _SiteSkeleton:
     green_rows: np.ndarray
     green_cols: np.ndarray
     green_vals: np.ndarray
-    _names: Optional[List[str]] = None
 
     @property
     def num_rows(self) -> int:
         return int(self.rhs.shape[0])
-
-    @property
-    def names(self) -> List[str]:
-        """Variable names in layout order (generated on first Model build)."""
-        if self._names is None:
-            name = self.location_name
-            names = [f"capacity[{name}]", f"solar[{name}]", f"wind[{name}]", f"battery[{name}]"]
-            for family in _EPOCH_FAMILIES:
-                names.extend(f"{family}[{name},{epoch}]" for epoch in range(self.num_epochs))
-            self._names = names
-        return self._names
 
 
 @dataclass
@@ -156,9 +161,7 @@ class _SkeletonTemplate:
     """
 
     donor: "_SiteSkeleton"
-    block_offsets: List[int]
-    block_labels: List[str]
-    #: label -> (start offset into tri_vals); slot layout is fixed per block.
+    #: block label -> start offset into tri_vals; slot layout is fixed per block.
     slots: Dict[str, int]
     brown_cols: np.ndarray
 
@@ -308,9 +311,8 @@ class ProvisioningCompiler:
         self.cost_model = CostModel(problem.params)
         self._profiles = problem.profile_map()
         self._skeletons: Dict[Tuple[str, str], _SiteSkeleton] = {}
-        # Per-shape CSC pattern cache; False marks shapes that cannot be
-        # templated (degenerate grids with duplicate COO coordinates).
-        self._templates: Dict[Tuple, object] = {}
+        # Per-shape CSC pattern cache.
+        self._templates: Dict[Tuple, _ModelTemplate] = {}
         # Per-site delta arrays for the incremental solve path.
         self._incremental: Dict[str, _IncrementalSiteData] = {}
         # Location-independent skeleton structure per size class; once built,
@@ -425,22 +427,11 @@ class ProvisioningCompiler:
         else:
             green_vals = donor.green_vals
 
-        # Block value arrays are views into tri_vals (which concatenates them
-        # in block order); index arrays and right-hand sides are shared.
-        blocks = []
-        for (rows, cols, vals, sense, rhs, _), offset, label in zip(
-            donor.blocks, template.block_offsets, template.block_labels
-        ):
-            blocks.append(
-                (rows, cols, tri_vals[offset : offset + len(vals)], sense, rhs,
-                 f"{label}[{name}]")
-            )
+        # Index arrays, right-hand sides and sense masks are shared.
         return _SiteSkeleton(
-            location_name=name,
             num_epochs=T,
             lower=donor.lower,
             upper=upper,
-            blocks=blocks,
             objective_cols=donor.objective_cols,
             objective_vals=np.concatenate(obj_vals),
             fixed_cost=coefficients["fixed"],
@@ -503,27 +494,35 @@ class ProvisioningCompiler:
         pue = profile.pue
         mf_pue = params.migration_factor * pue
 
-        blocks: List[Tuple[np.ndarray, np.ndarray, np.ndarray, ConstraintSense, np.ndarray, str]] = []
-        block_offsets: List[int] = []
-        block_labels: List[str] = []
-        vals_offset = 0
+        # Constraint blocks, concatenated in order with block-local row
+        # offsets applied; ``slots`` records where each block's values start.
+        tri_rows: List[np.ndarray] = []
+        tri_cols: List[np.ndarray] = []
+        tri_vals: List[np.ndarray] = []
+        rhs_parts: List[np.ndarray] = []
+        le_parts: List[np.ndarray] = []
+        ge_parts: List[np.ndarray] = []
+        slots: Dict[str, int] = {}
+        num_rows = 0
+        num_vals = 0
 
         def block(row_lists, col_lists, val_lists, sense, rhs, label):
-            nonlocal vals_offset
-            vals = np.concatenate(val_lists)
-            blocks.append(
-                (
-                    np.concatenate(row_lists),
-                    np.concatenate(col_lists),
-                    vals,
-                    sense,
-                    np.asarray(rhs, dtype=float),
-                    f"{label}[{name}]",
-                )
+            nonlocal num_rows, num_vals
+            rows, cols, vals = _merge_duplicates(
+                np.concatenate(row_lists),
+                np.concatenate(col_lists),
+                np.concatenate(val_lists),
             )
-            block_offsets.append(vals_offset)
-            block_labels.append(label)
-            vals_offset += len(vals)
+            rhs = np.asarray(rhs, dtype=float)
+            tri_rows.append(rows + num_rows)
+            tri_cols.append(cols)
+            tri_vals.append(vals)
+            rhs_parts.append(rhs)
+            le_parts.append(np.full(len(rhs), sense == "<="))
+            ge_parts.append(np.full(len(rhs), sense == ">="))
+            slots[label] = num_vals
+            num_rows += len(rhs)
+            num_vals += len(vals)
 
         # Size-class consistency: the construction price per kW assumed in the
         # objective is only valid within the class's power range.
@@ -532,7 +531,7 @@ class ProvisioningCompiler:
                 [np.zeros(1, dtype=np.int64)],
                 [np.array([cap], dtype=np.int64)],
                 [np.array([profile.max_pue])],
-                ConstraintSense.LESS_EQUAL,
+                "<=",
                 [params.small_dc_threshold_kw],
                 "small_dc",
             )
@@ -542,7 +541,7 @@ class ProvisioningCompiler:
             [t, t, t],
             [fam["migrate"], fam["compute"][prev], fam["compute"]],
             [ones, -ones, ones],
-            ConstraintSense.GREATER_EQUAL,
+            ">=",
             np.zeros(T),
             "migration",
         )
@@ -551,7 +550,7 @@ class ProvisioningCompiler:
             [t, t, t],
             [np.full(T, cap, dtype=np.int64), fam["compute"], fam["migrate"]],
             [ones, -ones, -ones],
-            ConstraintSense.GREATER_EQUAL,
+            ">=",
             np.zeros(T),
             "capacity_cover",
         )
@@ -567,7 +566,7 @@ class ProvisioningCompiler:
                 fam["migrate"],
             ],
             [ones, ones, ones, ones, -pue, -mf_pue],
-            ConstraintSense.GREATER_EQUAL,
+            ">=",
             np.zeros(T),
             "power_balance",
         )
@@ -585,7 +584,7 @@ class ProvisioningCompiler:
                 fam["net_discharge"],
             ],
             [pue, mf_pue, -ones, -ones, -ones],
-            ConstraintSense.GREATER_EQUAL,
+            ">=",
             np.zeros(T),
             "green_delivery_cap",
         )
@@ -600,7 +599,7 @@ class ProvisioningCompiler:
                 fam["net_charge"],
             ],
             [profile.solar_alpha, profile.wind_beta, -ones, -ones, -ones],
-            ConstraintSense.GREATER_EQUAL,
+            ">=",
             np.zeros(T),
             "green_allocation",
         )
@@ -616,7 +615,7 @@ class ProvisioningCompiler:
                     fam["battery_discharge"],
                 ],
                 [ones, -ones, -eff_hours, hours],
-                ConstraintSense.EQUAL,
+                "==",
                 np.zeros(T),
                 "battery_dynamics",
             )
@@ -624,7 +623,7 @@ class ProvisioningCompiler:
                 [t, t],
                 [fam["battery_level"], np.full(T, bat, dtype=np.int64)],
                 [ones, -ones],
-                ConstraintSense.LESS_EQUAL,
+                "<=",
                 np.zeros(T),
                 "battery_capacity",
             )
@@ -639,7 +638,7 @@ class ProvisioningCompiler:
                     fam["net_discharge"],
                 ],
                 [ones, -ones, -hours, hours],
-                ConstraintSense.EQUAL,
+                "==",
                 np.zeros(T),
                 "net_dynamics",
             )
@@ -663,25 +662,6 @@ class ProvisioningCompiler:
             obj_vals.append(coefficients["net_discharge_kwh_year"] * weights)
             obj_cols.append(fam["net_charge"])
             obj_vals.append(coefficients["net_charge_kwh_year"] * weights)
-
-        # Pre-concatenated triplets (block-local row offsets applied) and
-        # per-row sense masks for the templated row-form fast path.
-        tri_rows_parts: List[np.ndarray] = []
-        rhs_parts: List[np.ndarray] = []
-        le_parts: List[np.ndarray] = []
-        ge_parts: List[np.ndarray] = []
-        row_offset = 0
-        for rows, _cols, _vals, sense, rhs, _label in blocks:
-            tri_rows_parts.append(rows + row_offset)
-            rhs_parts.append(rhs)
-            n_rows = len(rhs)
-            le_parts.append(
-                np.full(n_rows, sense is ConstraintSense.LESS_EQUAL, dtype=bool)
-            )
-            ge_parts.append(
-                np.full(n_rows, sense is ConstraintSense.GREATER_EQUAL, dtype=bool)
-            )
-            row_offset += n_rows
 
         # This site's slice of the cross-site minimum-green coupling row(s):
         # delivered green counts positive, a ``frac`` share of the demand
@@ -717,17 +697,15 @@ class ProvisioningCompiler:
             green_vals = np.empty(0)
 
         skeleton = _SiteSkeleton(
-            location_name=name,
             num_epochs=T,
             lower=lower,
             upper=upper,
-            blocks=blocks,
             objective_cols=np.concatenate(obj_cols),
             objective_vals=np.concatenate(obj_vals),
             fixed_cost=coefficients["fixed"],
-            tri_rows=np.concatenate(tri_rows_parts),
-            tri_cols=np.concatenate([cols for _rows, cols, *_rest in blocks]),
-            tri_vals=np.concatenate([vals for _rows, _cols, vals, *_rest in blocks]),
+            tri_rows=np.concatenate(tri_rows),
+            tri_cols=np.concatenate(tri_cols),
+            tri_vals=np.concatenate(tri_vals),
             rhs=np.concatenate(rhs_parts),
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
@@ -735,17 +713,7 @@ class ProvisioningCompiler:
             green_cols=green_cols,
             green_vals=green_vals,
         )
-        template = _SkeletonTemplate(
-            donor=skeleton,
-            block_offsets=block_offsets,
-            block_labels=block_labels,
-            slots={
-                label: offset
-                for label, offset in zip(block_labels, block_offsets)
-                if label in ("small_dc", "power_balance", "green_delivery_cap", "green_allocation")
-            },
-            brown_cols=fam["brown"],
-        )
+        template = _SkeletonTemplate(donor=skeleton, slots=slots, brown_cols=fam["brown"])
         return skeleton, template
 
     # -- cross-process skeleton shipping -------------------------------------------
@@ -795,7 +763,7 @@ class ProvisioningCompiler:
         params = self.problem.params
         T = small.num_epochs
         n_vars = len(small.lower)
-        if not small.blocks or not small.blocks[0][5].startswith("small_dc"):
+        if small.num_rows != large.num_rows + 1 or not small.le_mask[0]:
             raise RuntimeError("incremental layout expects the small_dc row first")
 
         row_lower = np.where(small.le_mask, -np.inf, small.rhs)
@@ -843,118 +811,21 @@ class ProvisioningCompiler:
             fixed={"small": small.fixed_cost, "large": large.fixed_cost},
         )
 
-    # -- whole-model assembly -----------------------------------------------------
-    def compile(
-        self, siting: Mapping[str, str], enforce_spread: bool = True
-    ) -> Tuple[Model, List[_SiteLayout]]:
-        """Assemble the provisioning LP for one siting decision as a Model."""
-        problem = self.problem
-        params = problem.params
-        T = problem.num_epochs
-        t = np.arange(T, dtype=np.int64)
-        model = Model(name="provisioning", sense="min")
-        layouts: List[_SiteLayout] = []
-        skeletons: List[_SiteSkeleton] = []
-        profiles = self._profiles
-
-        objective_cols: List[np.ndarray] = []
-        objective_vals: List[np.ndarray] = []
-        fixed_cost = 0.0
-        for name, size_class in siting.items():
-            skeleton = self.site_skeleton(name, size_class)
-            base = model.num_variables
-            model.add_variable_array(skeleton.names, skeleton.lower, skeleton.upper)
-            layouts.append(
-                _SiteLayout(
-                    profile=profiles[name], size_class=size_class, base=base, num_epochs=T
-                )
-            )
-            skeletons.append(skeleton)
-            for rows, cols, vals, sense, rhs, label in skeleton.blocks:
-                model.add_linear_block(
-                    rows, cols + base, vals, sense, rhs, name=label, validate=False
-                )
-            objective_cols.append(skeleton.objective_cols + base)
-            objective_vals.append(skeleton.objective_vals)
-            fixed_cost += skeleton.fixed_cost
-
-        # Constraint 2: the network must provide the requested compute power in
-        # every epoch.
-        model.add_linear_block(
-            np.concatenate([t] * len(layouts)),
-            np.concatenate([layout.compute for layout in layouts]),
-            np.ones(T * len(layouts)),
-            ConstraintSense.GREATER_EQUAL,
-            np.full(T, params.total_capacity_kw),
-            name="total_capacity",
-            validate=False,
-        )
-
-        # Constraint 3: minimum share of green energy, enforced either over the
-        # whole year (the paper's main formulation) or in every epoch (the
-        # stricter variant studied in the technical report).  The per-site
-        # contributions are cached in the skeletons.
-        if params.min_green_fraction > 0:
-            per_epoch = problem.green_enforcement is GreenEnforcement.PER_EPOCH
-            model.add_linear_block(
-                np.concatenate([skeleton.green_rows for skeleton in skeletons]),
-                np.concatenate(
-                    [
-                        skeleton.green_cols + layout.base
-                        for skeleton, layout in zip(skeletons, layouts)
-                    ]
-                ),
-                np.concatenate([skeleton.green_vals for skeleton in skeletons]),
-                ConstraintSense.GREATER_EQUAL,
-                np.zeros(T) if per_epoch else np.zeros(1),
-                name="min_green_fraction",
-                validate=False,
-            )
-
-        # Availability spread: every sited DC keeps at least S/n servers.
-        if enforce_spread and layouts:
-            floor = params.total_capacity_kw / len(layouts)
-            model.add_linear_block(
-                np.arange(len(layouts), dtype=np.int64),
-                np.array([layout.capacity for layout in layouts], dtype=np.int64),
-                np.ones(len(layouts)),
-                ConstraintSense.GREATER_EQUAL,
-                np.full(len(layouts), floor),
-                name="capacity_spread",
-                validate=False,
-            )
-
-        model.set_objective(
-            LinearExpression(
-                dict(
-                    zip(
-                        np.concatenate(objective_cols).tolist(),
-                        np.concatenate(objective_vals).tolist(),
-                    )
-                ),
-                fixed_cost,
-            )
-        )
-        return model, layouts
-
     # -- templated row-form assembly ------------------------------------------------
     def compile_row_form(
         self, siting: Mapping[str, str], enforce_spread: bool = True
-    ) -> Optional[Tuple[RowFormLP, List[_SiteLayout]]]:
-        """Assemble the LP directly in HiGHS row form via the pattern cache.
+    ) -> Tuple[RowFormLP, List[_SiteLayout]]:
+        """Assemble the provisioning LP of one siting in HiGHS row form.
 
         Sitings with the same ordered size-class tuple share one CSC sparsity
-        pattern, so after the first assembly of a shape only the coefficient
-        values, bounds and right-hand sides are rebuilt (a few array
-        concatenations and one fancy-index).  Returns ``None`` when the shape
-        cannot be templated (degenerate single-epoch grids produce duplicate
-        COO coordinates); callers then fall back to :meth:`compile`.
+        pattern (:meth:`_build_template`, built on first use), so an assembly
+        concatenates the sites' values, bounds and right-hand sides in a
+        fixed order and places the values with one fancy-index.  Values
+        that no longer fit the shape's pattern raise ``RuntimeError``.
         """
         problem = self.problem
         params = problem.params
         T = problem.num_epochs
-        if T < 2:
-            return None
         skeletons: List[_SiteSkeleton] = []
         classes: List[str] = []
         for name, size_class in siting.items():
@@ -968,16 +839,10 @@ class ProvisioningCompiler:
         key = (tuple(classes), bool(enforce_spread))
         with self._lock:
             template = self._templates.get(key)
-        if template is False:
-            return None
         if template is None:
-            template = self._build_template(
-                key, skeletons, enforce_spread, has_green, per_epoch
-            )
+            template = self._build_template(skeletons, enforce_spread, has_green, per_epoch)
             with self._lock:
-                self._templates.setdefault(key, template if template is not None else False)
-            if template is None:
-                return None
+                template = self._templates.setdefault(key, template)
 
         # Values, right-hand sides, bounds and costs in the same deterministic
         # order the template's pattern was built in.
@@ -994,7 +859,11 @@ class ProvisioningCompiler:
         vals = np.concatenate(vals_parts)
         rhs = np.concatenate(rhs_parts)
         if len(vals) != len(template.perm) or len(rhs) != template.shape[0]:
-            return None  # pattern drifted; let the Model path handle it
+            raise RuntimeError(
+                f"siting {tuple(siting)} drifted from its shape's CSC pattern: "
+                f"{len(vals)} values and {len(rhs)} rows for a pattern of "
+                f"{len(template.perm)} entries and {template.shape[0]} rows"
+            )
 
         num_cols = num_sites * nvars_site
         cost = np.zeros(num_cols)
@@ -1012,8 +881,6 @@ class ProvisioningCompiler:
             row_upper=np.where(template.ge_mask, np.inf, rhs),
             lower=np.concatenate([skeleton.lower for skeleton in skeletons]),
             upper=np.concatenate([skeleton.upper for skeleton in skeletons]),
-            integrality=np.zeros(num_cols, dtype=np.int64),
-            maximise=False,
             objective_constant=fixed_cost,
         )
         if lp_validate.validation_enabled():
@@ -1033,11 +900,15 @@ class ProvisioningCompiler:
         ]
         return row_form, layouts
 
+    #: The former name of :meth:`compile_row_form`; ``perfbench/spans.py``
+    #: still wraps it.
+    compile = compile_row_form
+
     def compile_batch(
         self,
         sitings: Sequence[Tuple[str, str]],
         enforce_spread: bool = False,
-    ) -> Optional[BatchCompiledLP]:
+    ) -> BatchCompiledLP:
         """Stack independent single-site LPs into one block-diagonal mega-LP.
 
         ``sitings`` lists ``(location, size_class)`` pairs; each becomes its
@@ -1046,21 +917,14 @@ class ProvisioningCompiler:
         one-site siting — and the blocks are concatenated block-diagonally in
         the given order.  One solve of the result prices every location at
         once; :meth:`BatchCompiledLP.site_costs` recovers the per-site costs.
-
-        Returns ``None`` when any site's LP cannot be templated (degenerate
-        epoch grids); callers then fall back to per-site solves.
+        ``sitings`` must not be empty.
         """
         from repro.lpsolver.batch import stack_block_diagonal
 
-        if not sitings:
-            return None
         blocks: List[RowFormLP] = []
         names: List[str] = []
         for name, size_class in sitings:
-            compiled = self.compile_row_form({name: size_class}, enforce_spread)
-            if compiled is None:
-                return None
-            blocks.append(compiled[0])
+            blocks.append(self.compile_row_form({name: size_class}, enforce_spread)[0])
             names.append(name)
         stacked, col_offsets, row_offsets = stack_block_diagonal(blocks)
         return BatchCompiledLP(
@@ -1073,12 +937,12 @@ class ProvisioningCompiler:
 
     def _build_template(
         self,
-        key: Tuple,
         skeletons: List[_SiteSkeleton],
         enforce_spread: bool,
         has_green: bool,
         per_epoch: bool,
-    ) -> Optional[_ModelTemplate]:
+    ) -> _ModelTemplate:
+        """CSC pattern of one siting shape; duplicate coordinates raise ``ValueError``."""
         problem = self.problem
         T = problem.num_epochs
         t = np.arange(T, dtype=np.int64)
@@ -1126,23 +990,15 @@ class ProvisioningCompiler:
             ge_parts.append(np.ones(num_sites, dtype=bool))
             row_offset += num_sites
 
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        num_rows = row_offset
-        # CSC order: sort entries by (column, row); bail out on duplicate
-        # coordinates, which would be silently summed by scipy but not HiGHS.
-        codes = cols * np.int64(num_rows) + rows
-        perm = np.argsort(codes, kind="stable")
-        sorted_codes = codes[perm]
-        if np.any(sorted_codes[1:] == sorted_codes[:-1]):
-            return None
-        indptr = np.zeros(num_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=num_cols), out=indptr[1:])
+        shape = (row_offset, num_cols)
+        perm, indices, indptr = csc_pattern(
+            np.concatenate(rows_parts), np.concatenate(cols_parts), shape
+        )
         return _ModelTemplate(
-            shape=(num_rows, num_cols),
+            shape=shape,
             perm=perm,
-            indices=rows[perm].astype(np.int32),
-            indptr=indptr.astype(np.int32),
+            indices=indices,
+            indptr=indptr,
             le_mask=np.concatenate(le_parts),
             ge_mask=np.concatenate(ge_parts),
         )
@@ -1187,26 +1043,8 @@ class ProvisioningModelBuilder:
             raise ValueError("the shared compiler was built for a different problem")
         self.compiler = compiler or ProvisioningCompiler(problem)
         self.cost_model = self.compiler.cost_model
-        self.sites: List[_SiteLayout] = []
-        self._model: Optional[Model] = None
-        self._row_form: Optional[RowFormLP] = None
-        # Fast path: templated row-form assembly straight to HiGHS; the Model
-        # object is only materialised if someone asks for it (or the grid has
-        # a single epoch, which the template does not cover).
-        fast = self.compiler.compile_row_form(siting, enforce_spread)
-        if fast is not None:
-            self._row_form, self.sites = fast
-        else:
-            self._model, self.sites = self.compiler.compile(siting, enforce_spread)
-
-    @property
-    def model(self) -> Model:
-        """The provisioning LP as a :class:`Model` (built on demand)."""
-        if self._model is None:
-            self._model, layouts = self.compiler.compile(self.siting, self.enforce_spread)
-            if not self.sites:
-                self.sites = layouts
-        return self._model
+        #: The compiled LP and the per-site variable layouts inside it.
+        self.row_form, self.sites = self.compiler.compile_row_form(siting, enforce_spread)
 
     # -- solving ------------------------------------------------------------------------------
     def solve(
@@ -1214,12 +1052,8 @@ class ProvisioningModelBuilder:
     ) -> ProvisioningResult:
         """Solve the LP; the resulting :class:`NetworkPlan` extracts lazily."""
         options = options or SolverOptions()
-        if self._row_form is not None:
-            result = highs_backend.solve_row_form(self._row_form, options, context)
-            dims = (self._row_form.shape[1], self._row_form.shape[0])
-        else:
-            result = self.model.solve(options, context=context)
-            dims = (self.model.num_variables, self.model.num_constraints)
+        result = highs_backend.solve_row_form(self.row_form, options, context)
+        dims = (self.row_form.num_variables, self.row_form.num_rows)
         if not result.is_optimal:
             return ProvisioningResult(
                 feasible=False,
@@ -1277,8 +1111,6 @@ class IncrementalSitingEvaluator:
         options: Optional[SolverOptions] = None,
     ) -> None:
         problem = compiler.problem
-        if problem.num_epochs < 2:
-            raise ValueError("the incremental evaluator needs at least two epochs")
         self.compiler = compiler
         self.problem = problem
         self.enforce_spread = enforce_spread
@@ -1306,11 +1138,6 @@ class IncrementalSitingEvaluator:
         #: stored (native) basis, pure value edits keep the carried basis.
         self._shape_bases: Dict[Tuple[int, int], object] = {}
         self.solves = 0
-
-    @staticmethod
-    def supported(problem: SitingProblem) -> bool:
-        """Whether the incremental path can serve this problem's evaluations."""
-        return problem.num_epochs >= 2
 
     # -- model mutation -----------------------------------------------------------
     def _append_site(self, name: str, size_class: str) -> None:
@@ -1372,8 +1199,6 @@ class IncrementalSitingEvaluator:
             row_upper=row_upper,
             lower=np.zeros(0),
             upper=np.zeros(0),
-            integrality=np.zeros(0, dtype=np.int64),
-            maximise=False,
             objective_constant=0.0,
         )
         self._model.load(empty)

@@ -23,7 +23,8 @@ import numpy as np
 from repro.greennebula.datacenter import GreenDatacenter
 from repro.greennebula.migration import MigrationPlanner, MigrationRequest
 from repro.greennebula.prediction import GreenEnergyPredictor
-from repro.lpsolver import ConstraintSense, LinearExpression, Model, SolverOptions
+from repro.lpsolver import RowFormLP, SolverOptions
+from repro.lpsolver.highs_backend import solve_row_form
 
 
 @dataclass
@@ -76,38 +77,43 @@ class GreenNebulaScheduler:
         total_load_kw: float,
         current_load_kw: Mapping[str, float],
         green_forecast_kw: Mapping[str, np.ndarray],
-    ) -> tuple[Model, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
-        """Build the window LP; returns (model, compute indices, migrate indices).
+    ) -> tuple[RowFormLP, Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """Build the window LP; returns (LP, compute indices, migrate indices).
 
-        Each per-datacenter constraint family (migration coupling, capacity,
-        brown balance) is emitted as one vectorized triplet block over the
-        whole horizon; the variable handles are returned as index arrays for
-        fancy-indexed extraction from the solve result.
+        Columns are ``compute``, ``migrate`` and ``brown`` over the horizon,
+        datacenter by datacenter; each per-datacenter constraint family
+        (migration coupling, capacity, brown balance) is one vectorized
+        triplet block over the whole horizon, followed by the total-load
+        rows.  The compute and migrate columns are returned as index arrays
+        for fancy-indexed extraction from the solve result.
         """
         horizon = self.horizon_hours
-        model = Model(name="greennebula-window", sense="min")
-        compute: Dict[str, np.ndarray] = {}
-        migrate: Dict[str, np.ndarray] = {}
         t = np.arange(horizon, dtype=np.int64)
         ones = np.ones(horizon)
-        objective_cols: List[np.ndarray] = []
-        objective_vals: List[np.ndarray] = []
+        num_cols = 3 * horizon * len(self.datacenters)
+        num_rows = num_cols + horizon
+        upper = np.full(num_cols, np.inf)
+        cost = np.zeros(num_cols)
+        rows: List[np.ndarray] = []
+        cols: List[np.ndarray] = []
+        vals: List[np.ndarray] = []
+        row_lower: List[np.ndarray] = []
+        row_upper: List[np.ndarray] = []
+        compute: Dict[str, np.ndarray] = {}
+        migrate: Dict[str, np.ndarray] = {}
 
-        for dc in self.datacenters:
+        for index, dc in enumerate(self.datacenters):
             name = dc.name
             forecast = np.asarray(green_forecast_kw[name], dtype=float)
             if forecast.shape[0] < horizon:
                 raise ValueError(f"forecast for {name} shorter than the scheduling horizon")
-            compute[name] = model.add_variable_array(
-                [f"compute[{name},{step}]" for step in range(horizon)],
-                upper=dc.it_capacity_kw,
-            )
-            migrate[name] = model.add_variable_array(
-                [f"migrate[{name},{step}]" for step in range(horizon)]
-            )
-            brown = model.add_variable_array(
-                [f"brown[{name},{step}]" for step in range(horizon)]
-            )
+            base = 3 * horizon * index  # first column and first row of this datacenter
+            compute[name] = base + t
+            migrate[name] = base + horizon + t
+            brown = base + 2 * horizon + t
+            upper[compute[name]] = dc.it_capacity_kw
+            cost[brown] = 1.0
+            cost[migrate[name]] = self.migration_penalty_kwh
             pue = np.array([dc.pue(hour_of_year + step) for step in range(horizon)])
             previous_load = float(current_load_kw.get(name, dc.vm_power_kw))
 
@@ -116,54 +122,43 @@ class GreenNebulaScheduler:
             # anchored to the currently measured load.
             migration_rhs = np.zeros(horizon)
             migration_rhs[0] = previous_load
-            model.add_linear_block(
-                np.concatenate([t, t, t[1:]]),
-                np.concatenate([migrate[name], compute[name], compute[name][:-1]]),
-                np.concatenate([ones, ones, -ones[1:]]),
-                ConstraintSense.GREATER_EQUAL,
-                migration_rhs,
-                name=f"migration[{name}]",
-            )
-            model.add_linear_block(
-                np.concatenate([t, t]),
-                np.concatenate([compute[name], migrate[name]]),
-                np.concatenate([ones, ones]),
-                ConstraintSense.LESS_EQUAL,
-                np.full(horizon, dc.it_capacity_kw),
-                name=f"capacity[{name}]",
-            )
+            rows.append(base + np.concatenate([t, t, t[1:]]))
+            cols.append(np.concatenate([migrate[name], compute[name], compute[name][:-1]]))
+            vals.append(np.concatenate([ones, ones, -ones[1:]]))
+            row_lower.append(migration_rhs)
+            row_upper.append(np.full(horizon, np.inf))
+            # compute[t] + migrate[t] <= capacity
+            rows.append(base + horizon + np.concatenate([t, t]))
+            cols.append(np.concatenate([compute[name], migrate[name]]))
+            vals.append(np.concatenate([ones, ones]))
+            row_lower.append(np.full(horizon, -np.inf))
+            row_upper.append(np.full(horizon, dc.it_capacity_kw))
             # brown[t] >= pue[t] * (compute[t] + migrate[t]) - forecast[t]
-            model.add_linear_block(
-                np.concatenate([t, t, t]),
-                np.concatenate([brown, compute[name], migrate[name]]),
-                np.concatenate([ones, -pue, -pue]),
-                ConstraintSense.GREATER_EQUAL,
-                -forecast[:horizon],
-                name=f"brown[{name}]",
-            )
-            objective_cols.extend([brown, migrate[name]])
-            objective_vals.extend([ones, np.full(horizon, self.migration_penalty_kwh)])
+            rows.append(base + 2 * horizon + np.concatenate([t, t, t]))
+            cols.append(np.concatenate([brown, compute[name], migrate[name]]))
+            vals.append(np.concatenate([ones, -pue, -pue]))
+            row_lower.append(-forecast[:horizon])
+            row_upper.append(np.full(horizon, np.inf))
 
-        model.add_linear_block(
-            np.concatenate([t] * len(self.datacenters)),
-            np.concatenate([compute[dc.name] for dc in self.datacenters]),
-            np.ones(horizon * len(self.datacenters)),
-            ConstraintSense.GREATER_EQUAL,
-            np.full(horizon, total_load_kw),
-            name="total_load",
-        )
+        rows.append(num_cols + np.tile(t, len(self.datacenters)))
+        cols.append(np.concatenate([compute[dc.name] for dc in self.datacenters]))
+        vals.append(np.ones(horizon * len(self.datacenters)))
+        row_lower.append(np.full(horizon, total_load_kw))
+        row_upper.append(np.full(horizon, np.inf))
 
-        model.set_objective(
-            LinearExpression(
-                dict(
-                    zip(
-                        np.concatenate(objective_cols).tolist(),
-                        np.concatenate(objective_vals).tolist(),
-                    )
-                )
-            )
+        lp = RowFormLP.from_triplets(
+            np.concatenate(rows),
+            np.concatenate(cols),
+            np.concatenate(vals),
+            shape=(num_rows, num_cols),
+            row_lower=np.concatenate(row_lower),
+            row_upper=np.concatenate(row_upper),
+            lower=np.zeros(num_cols),
+            upper=upper,
+            cost=cost,
+            label="GreenNebula window LP",
         )
-        return model, compute, migrate
+        return lp, compute, migrate
 
     def schedule(self, hour_of_year: float) -> ScheduleDecision:
         """Run one scheduling pass at the given simulation hour."""
@@ -171,8 +166,8 @@ class GreenNebulaScheduler:
         current_load = {dc.name: dc.vm_power_kw for dc in self.datacenters}
         total_load = float(sum(current_load.values()))
         forecasts = self.predictor.predict_all(self.datacenters, hour_of_year)
-        model, compute, _ = self.build_model(hour_of_year, total_load, current_load, forecasts)
-        result = model.solve(self.solver_options)
+        lp, compute, _ = self.build_model(hour_of_year, total_load, current_load, forecasts)
+        result = solve_row_form(lp, self.solver_options)
         if not result.is_optimal:
             # Fall back to keeping the current placement.
             targets = dict(current_load)

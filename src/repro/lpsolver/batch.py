@@ -38,14 +38,9 @@ def stack_block_diagonal(
     objective constant is the sum of the blocks' constants; callers that need
     per-block objectives keep the individual constants and evaluate
     ``cost[s:e] @ x[s:e] + constant_i`` over the column slices.
-
-    All blocks must share the same optimisation sense.
     """
     if not blocks:
         raise ValueError("at least one block is required")
-    maximise = blocks[0].maximise
-    if any(block.maximise != maximise for block in blocks):
-        raise ValueError("all blocks must share the same optimisation sense")
 
     col_counts = np.array([block.shape[1] for block in blocks], dtype=np.int64)
     row_counts = np.array([block.shape[0] for block in blocks], dtype=np.int64)
@@ -77,8 +72,6 @@ def stack_block_diagonal(
         row_upper=np.concatenate([block.row_upper for block in blocks]),
         lower=np.concatenate([block.lower for block in blocks]),
         upper=np.concatenate([block.upper for block in blocks]),
-        integrality=np.concatenate([block.integrality for block in blocks]),
-        maximise=maximise,
         objective_constant=float(sum(block.objective_constant for block in blocks)),
     )
     if _validate.validation_enabled():

@@ -136,9 +136,6 @@ def solve_row_form(
 ) -> SolveResult:
     """Solve a continuous LP in row form with HiGHS directly.
 
-    Integrality declarations are ignored (callers route MILPs to
-    ``scipy.optimize.milp``; the heuristic deliberately solves relaxations).
-
     With ``check=True`` a non-optimal status raises
     :class:`~repro.lpsolver.result.SolverStatusError` instead of returning a
     ``nan`` objective — for callers that cannot tolerate silently acting on a
@@ -171,7 +168,7 @@ def solve_row_form(
     if status is SolveStatus.OPTIMAL:
         x = np.asarray(highs.getSolution().col_value, dtype=float)
         raw = float(highs.getObjectiveValue())
-        objective = (-raw if row_form.maximise else raw) + row_form.objective_constant
+        objective = raw + row_form.objective_constant
         if context is not None:
             context.store_basis(shape, highs.getBasis())
     else:

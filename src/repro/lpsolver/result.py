@@ -1,13 +1,11 @@
-"""Solve results for the LP/MILP layer."""
+"""Solve results of the HiGHS backend."""
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Mapping, Optional
+from typing import Optional
 
 import numpy as np
-
-from repro.lpsolver.expressions import LinearExpression, Variable
 
 
 class SolveStatus(enum.Enum):
@@ -49,7 +47,7 @@ class SolverStatusError(RuntimeError):
 
 
 class SolveResult:
-    """The outcome of solving a :class:`~repro.lpsolver.model.Model`.
+    """The outcome of solving a :class:`~repro.lpsolver.model.RowFormLP`.
 
     Attributes
     ----------
@@ -57,31 +55,25 @@ class SolveResult:
         Solver status classification.
     objective:
         Objective value (``nan`` when not optimal).
-    values:
-        Mapping from variable index to optimal value.  Materialised lazily
-        from ``x`` on first access — the solve hot paths only ever read the
-        array form.
     message:
         Backend diagnostic message.
     solver:
-        Which backend produced the result (``"highs-direct"``,
-        ``"highs-mutable"`` or ``"milp"``; the tests' oracle reports
-        ``"linprog"``).
+        Which backend produced the result (``"highs-direct"`` or
+        ``"highs-mutable"``; the test oracles report ``"linprog"`` and
+        ``"milp"``).
     iterations:
         Iteration count reported by the backend, if any.
     x:
         Optimal point as a dense array indexed by variable index (``None``
-        when not optimal).  Preferred over ``values`` on hot paths because it
-        supports vectorized fancy-indexed extraction.
+        when not optimal).
     """
 
-    __slots__ = ("status", "objective", "message", "solver", "iterations", "x", "_values")
+    __slots__ = ("status", "objective", "message", "solver", "iterations", "x")
 
     def __init__(
         self,
         status: SolveStatus,
         objective: float,
-        values: Optional[Dict[int, float]] = None,
         message: str = "",
         solver: str = "",
         iterations: int = 0,
@@ -93,16 +85,6 @@ class SolveResult:
         self.solver = solver
         self.iterations = iterations
         self.x = x
-        self._values = values
-
-    @property
-    def values(self) -> Dict[int, float]:
-        if self._values is None:
-            if self.x is None:
-                self._values = {}
-            else:
-                self._values = {index: float(value) for index, value in enumerate(self.x)}
-        return self._values
 
     @property
     def is_optimal(self) -> bool:
@@ -119,30 +101,14 @@ class SolveResult:
             )
         return self
 
-    def value(self, item: Variable | LinearExpression) -> float:
-        """Value of a variable or linear expression at the optimum."""
-        if isinstance(item, Variable):
-            if self.x is not None and item.index < len(self.x):
-                return float(self.x[item.index])
-            return self.values.get(item.index, 0.0)
-        if isinstance(item, LinearExpression):
-            return item.evaluate(self.values)
-        raise TypeError(f"cannot evaluate {item!r} against a solve result")
-
     def value_array(self, indices: np.ndarray) -> np.ndarray:
         """Values of a batch of variables given their index array."""
-        if self.x is not None:
-            return np.asarray(self.x[indices], dtype=float)
-        return np.array([self.values.get(int(i), 0.0) for i in np.ravel(indices)]).reshape(
-            np.shape(indices)
-        )
-
-    def values_by_name(self, variables: Mapping[str, Variable]) -> Dict[str, float]:
-        """Return ``{variable name: value}`` for a name->variable mapping."""
-        return {name: self.value(var) for name, var in variables.items()}
+        if self.x is None:
+            return np.zeros(np.shape(indices))
+        return np.asarray(self.x[indices], dtype=float)
 
     def __repr__(self) -> str:
         return (
             f"SolveResult(status={self.status.value}, objective={self.objective:.6g}, "
-            f"solver={self.solver!r}, n_values={len(self.values)})"
+            f"solver={self.solver!r}, n_values={0 if self.x is None else len(self.x)})"
         )

@@ -9,16 +9,19 @@ a basis projection whose length drifted from the model after a ranged
 delete — produces silently-wrong optima rather than errors.
 
 This module makes every such hand-off auditable.  With ``REPRO_VALIDATE=1``
-in the environment the three structural hand-off points validate their
-models and raise :class:`LPValidationError` listing *all* violations:
+in the environment the structural hand-off points validate their models and
+raise :class:`LPValidationError` listing *all* violations:
 
+* :meth:`RowFormLP.from_triplets` — every LP assembled from COO triplets
+  (the dispatch window, the stochastic-ensemble and contingency LPs, the
+  GreenNebula window LP);
+* :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
+  instantiation of the provisioning LP;
 * :meth:`MutableHighsModel.load` / :meth:`MutableHighsModel.solve` — the cold
   row-form load, and the dimension/basis bookkeeping after any splice
   sequence (every solve follows the splices that produced it);
 * :func:`repro.lpsolver.batch.stack_block_diagonal` — the stacked mega-LP and
-  its block boundary offsets;
-* :meth:`ProvisioningCompiler.compile_row_form` — every compiled-skeleton
-  instantiation.
+  its block boundary offsets.
 
 Validation is O(nnz) numpy per call and entirely skipped (one dict lookup)
 when the knob is off, so production paths pay nothing; the differential test
@@ -205,8 +208,7 @@ def row_form_violations(row_form: "RowFormLP", *, check_empty_rows: bool = True)
             # family present and fix unused ones to lb=ub=0 so that siting
             # moves stay pure range splices.  What is *never* legitimate is
             # an orphan whose cost pushes it toward an infinite bound — the
-            # LP is unbounded by construction (cost is minimise-oriented:
-            # RowFormLP negates for maximisation).
+            # LP is unbounded by construction (RowFormLP always minimises).
             orphan = (col_nnz == 0) & (
                 ((cost < 0.0) & ~np.isfinite(upper)) | ((cost > 0.0) & ~np.isfinite(lower))
             )

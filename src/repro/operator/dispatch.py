@@ -467,29 +467,21 @@ class RollingDispatcher:
             coo_cols.append(cols)
             coo_vals.append(vals)
 
-        rows = np.concatenate(coo_rows)
-        cols = np.concatenate(coo_cols)
-        vals = np.concatenate(coo_vals)
-        order = np.argsort(cols * np.int64(nrows) + rows, kind="stable")
-        indptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=ncols), out=indptr[1:])
         lower = np.concatenate(lower_parts)
         upper = np.concatenate(upper_parts)
         if self._faulted:
             self._override_first_step(row_lower, row_upper, upper)
-        return RowFormLP(
-            cost=np.concatenate(cost_parts),
-            a_indptr=indptr.astype(np.int32),
-            a_indices=rows[order].astype(np.int32),
-            a_data=vals[order],
+        return RowFormLP.from_triplets(
+            np.concatenate(coo_rows),
+            np.concatenate(coo_cols),
+            np.concatenate(coo_vals),
             shape=(nrows, ncols),
             row_lower=row_lower,
             row_upper=row_upper,
             lower=lower,
             upper=upper,
-            integrality=np.zeros(ncols, dtype=np.int64),
-            maximise=False,
-            objective_constant=0.0,
+            cost=np.concatenate(cost_parts),
+            label=f"dispatch window ({H} steps x {N} sites)",
         )
 
     @property

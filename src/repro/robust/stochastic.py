@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.problem import GreenEnforcement, SitingProblem
 from repro.core.provisioning import ProvisioningCompiler
@@ -252,14 +251,6 @@ def build_ensemble_row_form(
             row_offset += 1
     nrows = row_offset
 
-    matrix = sparse.coo_matrix(
-        (
-            np.concatenate(vals_parts),
-            (np.concatenate(rows_parts), np.concatenate(cols_parts)),
-        ),
-        shape=(nrows, ncols),
-    ).tocsc()
-    matrix.sort_indices()
     rhs = np.concatenate(rhs_parts)
     le_mask = np.concatenate(le_parts)
     ge_mask = np.concatenate(ge_parts)
@@ -305,19 +296,18 @@ def build_ensemble_row_form(
         u_slice = slice(unserved_base + d * T, unserved_base + (d + 1) * T)
         cost[u_slice] = w[d] * unserved_cost
 
-    row_form = RowFormLP(
-        cost=cost,
-        a_indptr=matrix.indptr,
-        a_indices=matrix.indices,
-        a_data=matrix.data,
+    row_form = RowFormLP.from_triplets(
+        np.concatenate(rows_parts),
+        np.concatenate(cols_parts),
+        np.concatenate(vals_parts),
         shape=(nrows, ncols),
         row_lower=np.where(le_mask, -np.inf, rhs),
         row_upper=np.where(ge_mask, np.inf, rhs),
         lower=lower,
         upper=upper,
-        integrality=np.zeros(ncols, dtype=np.int64),
-        maximise=False,
+        cost=cost,
         objective_constant=fixed_cost,
+        label=f"ensemble LP ({D} draws x {S} sites x {T} epochs)",
     )
     layout = EnsembleLayout(
         names=tuple(names),

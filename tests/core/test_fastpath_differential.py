@@ -1,19 +1,25 @@
-"""Differential tests pinning the vectorized provisioning fast path.
+"""Differential tests pinning the compiled provisioning LP.
 
-Three independent model-construction routes must produce the same LP:
+Two independent construction routes must produce the same LP:
 
 * the **scalar** builder (readable per-epoch object-API loops, the reference
   implementation of the Fig. 1 constraints, kept in ``tests/oracles.py``),
-* the **vectorized** builder's Model route (blocked COO triplets), and
-* the **templated row-form** route (cached CSC pattern, values only).
+  compiled through ``scipy.sparse``, and
+* the library's **compiled row form** (per-site COO skeletons, a cached
+  CSC pattern per siting shape, values only), the one assembly path.
 
 The tests compare canonicalized constraint matrices entry-for-entry and the
 optimal objectives of representative provisioning problems (also against a
-``scipy.optimize.linprog`` solve of the same model), plus the
-behavioural guarantees the heuristic relies on: the siting-evaluation memo
-returns the identical result object, and parallel annealing chains are
-deterministic under a fixed seed.
+``scipy.optimize.linprog`` solve of the same LP), on the 32-epoch test grid
+and on a single-epoch grid, where the cyclic coupling rows read their own
+epoch; on that grid the batched pricing stack, the incremental evaluator and
+a whole plan are pinned too.  The rest pins the behavioural guarantees the
+heuristic relies on: the siting-evaluation memo returns the identical
+result object, and parallel annealing chains are deterministic under a fixed
+seed.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,6 +27,8 @@ import pytest
 from repro.core import (
     EnergySources,
     HeuristicSolver,
+    IncrementalSitingEvaluator,
+    PlacementTool,
     SearchSettings,
     SitingProblem,
     StorageMode,
@@ -31,17 +39,32 @@ from repro.core.provisioning import (
     ProvisioningModelBuilder,
     solve_provisioning,
 )
+from repro.core.screening import price_batch, price_per_site
+from repro.energy import EpochGrid
+from repro.lpsolver import SolverOptions, highs_backend
 from oracles import ScalarProvisioningBuilder, linprog_solve
 
 
-def _canonical_rows(model):
+def _canonical_rows(row_form):
     """Dense [A | row_lower | row_upper] with rows sorted canonically."""
-    row_form = model.to_row_form()
     dense = np.column_stack(
         [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
     )
     dense = np.nan_to_num(dense, posinf=1e300, neginf=-1e300)
     return dense[np.lexsort(dense.T[::-1])]
+
+
+def _assert_same_lp(scalar, compiled):
+    """The scalar oracle's LP and the compiled row form agree entry for entry."""
+    assert scalar.shape == compiled.shape
+    np.testing.assert_allclose(
+        _canonical_rows(scalar), _canonical_rows(compiled), rtol=1e-12, atol=1e-12
+    )
+    # Objectives and bounds agree exactly.
+    np.testing.assert_allclose(scalar.cost, compiled.cost, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(scalar.lower, compiled.lower)
+    np.testing.assert_array_equal(scalar.upper, compiled.upper)
+    assert scalar.objective_constant == pytest.approx(compiled.objective_constant, rel=1e-12)
 
 
 def _scenario(two_site_problem, storage, enforcement):
@@ -62,26 +85,8 @@ class TestBuilderEquivalence:
         problem = _scenario(two_site_problem, storage, enforcement)
         siting = {problem.profiles[0].name: "large", problem.profiles[1].name: "small"}
         scalar = ScalarProvisioningBuilder(problem, siting)
-        vectorized = ProvisioningModelBuilder(problem, siting)
-        assert scalar.model.num_variables == vectorized.model.num_variables
-        assert scalar.model.num_constraints == vectorized.model.num_constraints
-        np.testing.assert_allclose(
-            _canonical_rows(scalar.model),
-            _canonical_rows(vectorized.model),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-        # Objectives and bounds agree exactly.
-        scalar_compiled = scalar.model.to_matrices()
-        vector_compiled = vectorized.model.to_matrices()
-        np.testing.assert_allclose(
-            scalar_compiled.cost, vector_compiled.cost, rtol=1e-12, atol=1e-12
-        )
-        np.testing.assert_array_equal(scalar_compiled.lower, vector_compiled.lower)
-        np.testing.assert_array_equal(scalar_compiled.upper, vector_compiled.upper)
-        assert scalar.model.objective.constant == pytest.approx(
-            vectorized.model.objective.constant, rel=1e-12
-        )
+        compiled = ProvisioningModelBuilder(problem, siting)
+        _assert_same_lp(scalar.row_form, compiled.row_form)
 
     @pytest.mark.parametrize("storage,enforcement", SCENARIOS)
     def test_identical_objectives(self, two_site_problem, storage, enforcement):
@@ -89,7 +94,7 @@ class TestBuilderEquivalence:
         siting = {profile.name: "large" for profile in problem.profiles}
         scalar = ScalarProvisioningBuilder(problem, siting).solve()
         vectorized = solve_provisioning(problem, siting)
-        linprog = linprog_solve(ProvisioningModelBuilder(problem, siting).model)
+        linprog = linprog_solve(ProvisioningModelBuilder(problem, siting).row_form)
         assert scalar.feasible and vectorized.feasible and linprog.is_optimal
         assert vectorized.monthly_cost == pytest.approx(scalar.monthly_cost, rel=1e-6)
         assert linprog.objective == pytest.approx(scalar.monthly_cost, rel=1e-6)
@@ -98,8 +103,8 @@ class TestBuilderEquivalence:
             scalar.plan.total_monthly_cost, rel=1e-6
         )
 
-    def test_template_route_matches_model_route(self, two_site_problem):
-        """The cached-pattern row form is entry-for-entry the Model's row form."""
+    def test_template_reuse_matches_scalar_oracle(self, two_site_problem):
+        """Sitings sharing one cached CSC pattern each match the scalar oracle."""
         compiler = ProvisioningCompiler(two_site_problem)
         names = [profile.name for profile in two_site_problem.profiles]
         for siting in (
@@ -108,27 +113,21 @@ class TestBuilderEquivalence:
             {names[1]: "large", names[0]: "large"},
             {names[0]: "small"},
         ):
-            fast = compiler.compile_row_form(siting, enforce_spread=True)
-            assert fast is not None
-            row_form, layouts = fast
-            model, _ = compiler.compile(siting, enforce_spread=True)
-            reference = model.to_row_form()
-            assert row_form.shape == reference.shape
-            lhs = np.column_stack(
-                [row_form.matrix.toarray(), row_form.row_lower, row_form.row_upper]
-            )
-            rhs = np.column_stack(
-                [reference.matrix.toarray(), reference.row_lower, reference.row_upper]
-            )
-            lhs = np.nan_to_num(lhs, posinf=1e300, neginf=-1e300)
-            rhs = np.nan_to_num(rhs, posinf=1e300, neginf=-1e300)
-            np.testing.assert_array_equal(
-                lhs[np.lexsort(lhs.T[::-1])], rhs[np.lexsort(rhs.T[::-1])]
-            )
-            np.testing.assert_array_equal(row_form.cost, reference.cost)
-            np.testing.assert_array_equal(row_form.lower, reference.lower)
-            np.testing.assert_array_equal(row_form.upper, reference.upper)
+            row_form, layouts = compiler.compile_row_form(siting, enforce_spread=True)
+            reference = ScalarProvisioningBuilder(two_site_problem, siting).row_form
+            _assert_same_lp(reference, row_form)
             assert len(layouts) == len(siting)
+
+    def test_template_rejects_duplicate_coordinates(self, two_site_problem):
+        """A skeleton naming one (row, col) twice fails loudly, never silently."""
+        compiler = ProvisioningCompiler(two_site_problem)
+        skeleton = compiler.site_skeleton(two_site_problem.profiles[0].name, "large")
+        tri_rows = skeleton.tri_rows.copy()
+        tri_cols = skeleton.tri_cols.copy()
+        tri_rows[1], tri_cols[1] = tri_rows[0], tri_cols[0]
+        broken = dataclasses.replace(skeleton, tri_rows=tri_rows, tri_cols=tri_cols)
+        with pytest.raises(ValueError, match="duplicate matrix coordinate"):
+            compiler._build_template([broken], True, True, False)
 
     @pytest.mark.slow
     def test_identical_matrices_hourly_grid(self, two_site_problem, profile_builder, hourly_grid, small_catalog):
@@ -145,13 +144,112 @@ class TestBuilderEquivalence:
         )
         siting = {profiles[0].name: "large", profiles[1].name: "large"}
         scalar = ScalarProvisioningBuilder(problem, siting)
-        vectorized = ProvisioningModelBuilder(problem, siting)
-        np.testing.assert_allclose(
-            _canonical_rows(scalar.model),
-            _canonical_rows(vectorized.model),
-            rtol=1e-12,
-            atol=1e-12,
+        compiled = ProvisioningModelBuilder(problem, siting)
+        _assert_same_lp(scalar.row_form, compiled.row_form)
+
+
+#: One representative day as one 24-hour epoch: the cyclic migration and
+#: storage-level rows couple the epoch to itself.
+SINGLE_EPOCH_GRID = EpochGrid((100,), 24)
+SINGLE_EPOCH_STORAGE = [StorageMode.NET_METERING, StorageMode.BATTERIES, StorageMode.NONE]
+
+
+@pytest.fixture(scope="module")
+def single_epoch_problem(two_site_problem, profile_builder, small_catalog):
+    profiles = [
+        profile_builder.build(small_catalog.get(profile.name), SINGLE_EPOCH_GRID)
+        for profile in two_site_problem.profiles
+    ]
+    return SitingProblem(
+        profiles=profiles,
+        params=two_site_problem.params.with_updates(min_green_fraction=0.2),
+        sources=EnergySources.SOLAR_AND_WIND,
+        storage=StorageMode.NET_METERING,
+    )
+
+
+class TestSingleEpochGrid:
+    @pytest.mark.parametrize("storage", SINGLE_EPOCH_STORAGE)
+    def test_matches_scalar_oracle(self, single_epoch_problem, storage):
+        problem = single_epoch_problem.with_updates(storage=storage)
+        assert problem.num_epochs == 1
+        names = [profile.name for profile in problem.profiles]
+        for siting, spread in (
+            ({names[0]: "large", names[1]: "large"}, True),
+            ({names[0]: "large", names[1]: "small"}, False),
+        ):
+            scalar = ScalarProvisioningBuilder(problem, siting, enforce_spread=spread)
+            compiled = ProvisioningModelBuilder(problem, siting, enforce_spread=spread)
+            _assert_same_lp(scalar.row_form, compiled.row_form)
+            expected = scalar.solve()
+            result = compiled.solve()
+            assert expected.feasible and result.feasible
+            assert result.monthly_cost == pytest.approx(expected.monthly_cost, rel=1e-9)
+
+    def test_recorded_objective(self, single_epoch_problem):
+        """Two large sites at 20 % green, as solved by the Model-based fallback it replaced."""
+        siting = {profile.name: "large" for profile in single_epoch_problem.profiles}
+        result = solve_provisioning(single_epoch_problem, siting)
+        assert result.monthly_cost == pytest.approx(22305408.027474385, rel=1e-9)
+
+    @pytest.mark.parametrize("storage", SINGLE_EPOCH_STORAGE)
+    def test_batch_pricing_matches_per_site(self, single_epoch_problem, storage):
+        # 5 MW fits a small site, so every block of the stack is feasible and
+        # the stacked solve (not its per-site fallback) produces the prices.
+        problem = single_epoch_problem.with_updates(
+            storage=storage,
+            params=single_epoch_problem.params.with_updates(total_capacity_kw=5_000.0),
         )
+        sitings = [
+            (profile.name, size_class)
+            for profile in problem.profiles
+            for size_class in ("large", "small")
+        ]
+        options = SolverOptions()
+        stacked = ProvisioningCompiler(problem).compile_batch(sitings)
+        assert highs_backend.solve_row_form(stacked.row_form, options).is_optimal
+        batched = price_batch(problem, sitings, options, ProvisioningCompiler(problem))
+        per_site = price_per_site(problem, sitings, options, ProvisioningCompiler(problem))
+        assert [row[0] for row in batched] == [row[0] for row in per_site]
+        assert [row[2] for row in batched] == [row[2] for row in per_site]
+        np.testing.assert_allclose(
+            [row[1] for row in batched], [row[1] for row in per_site], rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("storage", SINGLE_EPOCH_STORAGE)
+    def test_incremental_matches_cold_solves(self, single_epoch_problem, storage):
+        problem = single_epoch_problem.with_updates(storage=storage)
+        a, b = (profile.name for profile in problem.profiles)
+        evaluator = IncrementalSitingEvaluator(ProvisioningCompiler(problem))
+        for siting in (
+            {a: "large"},
+            {a: "large", b: "large"},
+            {a: "small", b: "large"},
+            {b: "large"},
+            {b: "small", a: "large"},
+        ):
+            warm = evaluator.evaluate(siting)
+            cold = evaluator.rebuild(siting)
+            assert warm.feasible == cold.feasible
+            if cold.feasible:
+                assert warm.monthly_cost == pytest.approx(cold.monthly_cost, rel=1e-9)
+        assert evaluator.solves == 5
+
+    def test_plan_network(self, small_catalog, fast_settings):
+        """A whole plan on a single-epoch grid, as recorded before T = 1 took the row form."""
+        tool = PlacementTool(catalog=small_catalog, epoch_grid=SINGLE_EPOCH_GRID)
+        solution = tool.plan_network(
+            total_capacity_kw=50_000.0,
+            min_green_fraction=0.5,
+            sources=EnergySources.SOLAR_AND_WIND,
+            storage=StorageMode.NET_METERING,
+            settings=fast_settings,
+        )
+        assert sorted((dc.name, dc.size_class) for dc in solution.plan.datacenters) == [
+            ("Grissom, IN, USA", "large"),
+            ("north-america-0003", "large"),
+        ]
+        assert solution.monthly_cost == pytest.approx(21142908.608416826, rel=1e-9)
 
 
 class TestEvaluationCache:

@@ -1,4 +1,4 @@
-"""Additional tests for the full MILP formulation and its interaction with scenarios."""
+"""Tests for the full MILP oracle (``tests/oracle_milp.py``) and its interaction with scenarios."""
 
 import pytest
 
@@ -6,11 +6,11 @@ from repro.core import (
     EnergySources,
     SitingProblem,
     StorageMode,
-    build_full_milp,
-    solve_full_milp,
     solve_provisioning,
 )
 from repro.lpsolver import SolverOptions
+
+from oracle_milp import build_full_milp, solve_full_milp
 
 
 @pytest.fixture(scope="module")

@@ -11,11 +11,12 @@ from repro.core import (
     SingleSiteAnalyzer,
     SitingProblem,
     StorageMode,
-    solve_full_milp,
     solve_provisioning,
 )
 from repro.core.heuristic import MOVES
 from repro.scenarios import ScenarioSpec
+
+from oracle_milp import solve_full_milp
 
 
 class TestSearchSettings:

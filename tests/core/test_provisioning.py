@@ -218,6 +218,6 @@ class TestCostConsistency:
 
     def test_builder_exposes_model_dimensions(self, two_site_problem, siting):
         builder = ProvisioningModelBuilder(two_site_problem, siting)
-        assert builder.model.num_variables > 0
-        assert builder.model.num_constraints > 0
+        assert builder.row_form.num_variables > 0
+        assert builder.row_form.num_rows > 0
         assert len(builder.sites) == 2

@@ -262,6 +262,27 @@ class TestGreenNebulaScheduler:
         with pytest.raises(ValueError):
             GreenNebulaScheduler(three_dcs, horizon_hours=0)
 
+    def test_recorded_schedule_pass(self, three_dcs):
+        """One pass, pinned to the targets and brown energy of the expression-Model LP it replaced."""
+        vms = [deploy_vms(dc, 3 + 2 * k, prefix=f"pin{k}") for k, dc in enumerate(three_dcs)]
+        try:
+            decision = GreenNebulaScheduler(three_dcs, horizon_hours=48).schedule(hour_of_year=0.0)
+            assert decision.target_power_kw == pytest.approx(
+                {
+                    "Mexico City, Mexico": 0.00443124532195672,
+                    "Andersen, Guam": 0.405,
+                    "Harare, Zimbabwe": 0.04056875467804321,
+                },
+                rel=1e-9,
+                abs=1e-12,
+            )
+            assert decision.predicted_brown_kwh == pytest.approx(2.0880482629747403, rel=1e-9)
+            assert len(decision.migrations) == 9
+        finally:
+            for dc, deployed in zip(three_dcs, vms):
+                for vm in deployed:
+                    dc.manager.undeploy(vm.name)
+
     def test_build_model_checks_forecast_length(self, three_dcs):
         scheduler = GreenNebulaScheduler(three_dcs, horizon_hours=24)
         bad_forecasts = {dc.name: np.zeros(4) for dc in three_dcs}

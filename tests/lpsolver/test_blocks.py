@@ -1,17 +1,16 @@
-"""Tests for batched (block) constraint ingestion and row-form compilation."""
+"""Tests for the expression oracle's batched (block) constraints and row-form compilation."""
 
 import numpy as np
 import pytest
 
-from repro.lpsolver import (
+from oracle_model import (
     ConstraintSense,
     LinearConstraintBlock,
     LinearExpression,
     Model,
     ModelError,
+    make_block,
 )
-from repro.lpsolver.blocks import make_block
-
 from oracles import linprog_solve
 
 

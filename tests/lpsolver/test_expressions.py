@@ -1,9 +1,9 @@
-"""Tests for the linear-expression algebra."""
+"""Tests for the linear-expression algebra of the expression oracle."""
 
 
 import pytest
 
-from repro.lpsolver import (
+from oracle_model import (
     Constraint,
     ConstraintSense,
     LinearExpression,

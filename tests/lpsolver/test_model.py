@@ -1,9 +1,9 @@
-"""Tests for the Model container and its compilation to matrix form."""
+"""Tests for the expression oracle's Model container and its compilation to matrix form."""
 
 import numpy as np
 import pytest
 
-from repro.lpsolver import Model, ModelError, VariableKind
+from oracle_model import Model, ModelError, VariableKind
 
 
 class TestVariableManagement:

@@ -2,7 +2,7 @@
 
 Every mutation (add/delete column and row ranges, cost/bound/coefficient
 edits) is checked against a from-scratch solve of an equivalent
-:class:`~repro.lpsolver.model.Model` — the mutated model must stay
+expression :class:`~oracle_model.Model` — the mutated model must stay
 bit-compatible with the LP it claims to represent, across warm starts and
 basis projections.
 """
@@ -10,8 +10,10 @@ basis projections.
 import numpy as np
 import pytest
 
-from repro.lpsolver import ConstraintSense, LinearExpression, Model, SolverOptions
+from repro.lpsolver import SolverOptions
 from repro.lpsolver import highs_backend
+
+from oracle_model import ConstraintSense, LinearExpression, Model
 
 
 def _reference_model(c, rows, bounds):

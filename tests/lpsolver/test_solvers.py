@@ -1,11 +1,13 @@
-"""Tests for the SciPy/HiGHS solving backends."""
+"""Tests for solving expression-oracle models (HiGHS and milp) and for the bundled bindings."""
 
 import importlib
 import sys
 
 import pytest
 
-from repro.lpsolver import Model, SolveStatus, SolverOptions, solve_model
+from repro.lpsolver import SolveStatus, SolverOptions
+
+from oracle_model import Model, solve_model
 
 
 class TestLinearPrograms:
@@ -107,12 +109,12 @@ class TestMixedIntegerPrograms:
         assert result.is_optimal
         assert result.value(n) == pytest.approx(3.0, abs=1e-6)
 
-    def test_force_continuous_relaxation(self):
+    def test_relaxation(self):
         model = Model("relaxed")
         n = model.add_integer("n", lower=0, upper=10)
         model.add_constraint(2 * n >= 5)
         model.set_objective(n)
-        result = solve_model(model, SolverOptions(force_continuous=True))
+        result = solve_model(model, relax=True)
         assert result.solver == "highs-direct"  # the only continuous backend
         assert result.value(n) == pytest.approx(2.5, abs=1e-6)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.lpsolver import (
-    ConstraintSense,
-    Model,
     SolverOptions,
     SolverStatusError,
     SolveStatus,
     highs_backend,
 )
+
+from oracle_model import ConstraintSense, Model
 
 
 def _model(rows, sense="min", upper=np.inf):

@@ -42,8 +42,6 @@ def make_lp(**overrides) -> RowFormLP:
         row_upper=np.array([INF, INF]),
         lower=np.array([0.0, 0.0]),
         upper=np.array([10.0, 10.0]),
-        integrality=np.zeros(2, dtype=np.int64),
-        maximise=False,
         objective_constant=0.0,
     )
     fields.update(overrides)
@@ -175,7 +173,6 @@ class TestEmptyRowsAndOrphans:
             a_indptr=np.array([0, 1, 2, 2]),
             lower=np.array([0.0, 0.0, 0.0]),
             upper=np.array([10.0, 10.0, 0.0]),
-            integrality=np.zeros(3, dtype=np.int64),
         )
         assert row_form_violations(lp) == []
 
@@ -188,7 +185,6 @@ class TestEmptyRowsAndOrphans:
             a_indptr=np.array([0, 1, 2, 2]),
             lower=np.array([0.0, 0.0, -INF]),
             upper=np.array([10.0, 10.0, 0.0]),
-            integrality=np.zeros(3, dtype=np.int64),
         )
         message = sole_violation(lp)
         assert "orphan column 2" in message
@@ -201,7 +197,6 @@ class TestEmptyRowsAndOrphans:
             a_indptr=np.array([0, 1, 2, 2]),
             lower=np.array([0.0, 0.0, 0.0]),
             upper=np.array([10.0, 10.0, INF]),
-            integrality=np.zeros(3, dtype=np.int64),
         )
         assert "orphan column 2" in sole_violation(lp)
 

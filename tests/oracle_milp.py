@@ -1,11 +1,14 @@
-"""Full MILP formulation of the siting problem (Fig. 1).
+"""Full MILP formulation of the siting problem (Fig. 1), the exact oracle for the heuristic.
 
 The MILP chooses *where* to place datacenters (binary ``at(d)``) and whether
 each is small or large, simultaneously with the provisioning and energy
 scheduling decisions.  Solving it is only practical for small candidate sets
 (the paper reports days of solver time for 50-100 locations); we use it to
 validate the heuristic on small instances, exactly as the paper validated its
-heuristic against the MILP at the 0 % and 100 % green extremes.
+heuristic against the MILP at the 0 % and 100 % green extremes.  It is
+written with the expression layer of ``tests/oracle_model.py`` and solved
+with ``scipy.optimize.milp``; the library itself only ever solves
+fixed-siting LPs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import numpy as np
 from repro.core.costs import CostModel
 from repro.core.problem import SitingProblem, StorageMode
 from repro.core.provisioning import ProvisioningResult, solve_provisioning
-from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
+from repro.lpsolver import SolverOptions
+
+from oracle_model import LinearExpression, Model, Variable
 
 
 @dataclass
@@ -242,7 +247,9 @@ def build_full_milp(problem: SitingProblem) -> tuple[Model, List[_MilpSite]]:
 
 
 def solve_full_milp(
-    problem: SitingProblem, options: Optional[SolverOptions] = None
+    problem: SitingProblem,
+    options: Optional[SolverOptions] = None,
+    mip_gap: float = 1e-4,
 ) -> ProvisioningResult:
     """Solve the full MILP, then re-solve the fixed-siting LP to extract the plan.
 
@@ -253,7 +260,7 @@ def solve_full_milp(
     """
     options = options or SolverOptions(time_limit=120.0)
     model, sites = build_full_milp(problem)
-    result = model.solve(options)
+    result = model.solve(options, mip_gap=mip_gap)
     if not result.is_optimal:
         return ProvisioningResult(
             feasible=False,

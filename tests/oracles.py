@@ -1,16 +1,19 @@
 """Reference oracles that only the test-suite uses.
 
-The library has one solve path (SciPy's bundled HiGHS bindings) and one
-provisioning builder (blocked COO triplets through a
+The library has one LP form (:class:`~repro.lpsolver.RowFormLP`), one
+solve path (SciPy's bundled HiGHS bindings) and one provisioning builder
+(blocked COO triplets through a
 :class:`~repro.core.provisioning.ProvisioningCompiler`).  The differential
-tests pin both against independent references kept here:
+tests pin them against independent references kept here:
 
-* :func:`linprog_solve` solves a :class:`~repro.lpsolver.Model` through
+* :func:`linprog_solve` solves a :class:`~repro.lpsolver.RowFormLP` or an
+  expression :class:`~oracle_model.Model` through
   ``scipy.optimize.linprog`` — SciPy's own input validation and conversion
   in front of HiGHS instead of the direct bindings;
 * :class:`ScalarProvisioningBuilder` builds the Fig. 1 provisioning LP with
-  the readable per-epoch object API (``for t in range(num_epochs)``), the
-  reference formulation the vectorized builder must reproduce exactly;
+  the readable per-epoch object API of ``tests/oracle_model.py``
+  (``for t in range(num_epochs)``), the reference formulation the compiled
+  row form must reproduce exactly;
 * :class:`EagerProjectionModel` projects the :class:`MutableHighsModel`
   basis eagerly on every splice, the reference for the lazy projection.
 
@@ -28,19 +31,19 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 from repro.core.problem import GreenEnforcement, SitingProblem, StorageMode
-from repro.core.provisioning import ProvisioningModelBuilder, _SiteLayout
+from repro.core.provisioning import ProvisioningCompiler, ProvisioningModelBuilder, _SiteLayout
 from repro.energy.profiles import EpochGrid, LocationProfile, _calibrate_pue, calibrate_series
 from repro.energy.pue import PUEModel
 from repro.energy.solar_plant import SolarPanelModel
 from repro.energy.wind_plant import WindTurbineModel
 from repro.geo.coordinates import GeoPoint, haversine_km
-from repro.lpsolver import LinearExpression, Model, SolverOptions, Variable
+from repro.lpsolver import RowFormLP, SolverOptions
 from repro.lpsolver.highs_backend import (
     _BASIC,
     _BASIS_STATUSES,
@@ -51,11 +54,12 @@ from repro.lpsolver.highs_backend import (
     _core,
 )
 from repro.lpsolver.result import SolveResult, SolveStatus
-from repro.lpsolver.solvers import _finalise
 from repro.weather.locations import WorldCatalog
 from repro.weather.records import DAYS_PER_YEAR, HOURS_PER_DAY, HOURS_PER_YEAR, TMYDataset
 from repro.weather.solar_geometry import clear_sky_irradiance
 from repro.weather.synthesis import ClimateProfile, TMYGenerator
+
+from oracle_model import CompiledModel, LinearExpression, Model, Variable, _finalise
 
 _LINPROG_STATUS = {
     0: SolveStatus.OPTIMAL,
@@ -66,10 +70,12 @@ _LINPROG_STATUS = {
 }
 
 
-def linprog_solve(model: Model, options: Optional[SolverOptions] = None) -> SolveResult:
-    """Solve the continuous ``model`` with ``scipy.optimize.linprog``."""
+def linprog_solve(
+    model: Union[Model, RowFormLP], options: Optional[SolverOptions] = None
+) -> SolveResult:
+    """Solve a continuous expression model or row-form LP with ``scipy.optimize.linprog``."""
     options = options or SolverOptions()
-    compiled = model.to_matrices()
+    compiled = model.to_matrices() if isinstance(model, Model) else _row_form_matrices(model)
     result = optimize.linprog(
         c=compiled.cost,
         A_ub=compiled.a_ub,
@@ -83,6 +89,29 @@ def linprog_solve(model: Model, options: Optional[SolverOptions] = None) -> Solv
     status = _LINPROG_STATUS.get(result.status, SolveStatus.ERROR)
     iterations = int(getattr(result, "nit", 0) or 0)
     return _finalise(compiled, status, result.x, str(result.message), "linprog", iterations)
+
+
+def _row_form_matrices(row_form: RowFormLP) -> CompiledModel:
+    """The ``A_ub``/``A_eq`` split of a row-form LP (ranged rows become two rows)."""
+    matrix = row_form.matrix.tocsr()
+    lower, upper = row_form.row_lower, row_form.row_upper
+    eq = lower == upper
+    has_upper = ~eq & np.isfinite(upper)
+    has_lower = ~eq & np.isfinite(lower)
+    a_ub = sparse.vstack([matrix[has_upper], -matrix[has_lower]]).tocsr()
+    b_ub = np.concatenate([upper[has_upper], -lower[has_lower]])
+    return CompiledModel(
+        cost=row_form.cost,
+        a_ub=a_ub if a_ub.shape[0] else None,
+        b_ub=b_ub if a_ub.shape[0] else None,
+        a_eq=matrix[eq] if eq.any() else None,
+        b_eq=lower[eq] if eq.any() else None,
+        lower=row_form.lower,
+        upper=row_form.upper,
+        integrality=np.zeros(row_form.num_variables, dtype=np.int64),
+        maximise=False,
+        objective_constant=row_form.objective_constant,
+    )
 
 
 @dataclass
@@ -110,9 +139,11 @@ class _SiteVariables:
 class ScalarProvisioningBuilder(ProvisioningModelBuilder):
     """The provisioning LP built constraint by constraint with the object API.
 
-    Registers variables in the same site-major order as the vectorized
-    builder, so :meth:`solve` (inherited) extracts plans through the same
-    site layouts; only the model construction differs.
+    Registers variables in the same site-major order as the compiled
+    builder, so :meth:`solve` (inherited, it solves ``row_form``) extracts
+    plans through the same site layouts; only the LP construction differs.
+    ``model`` is the expression :class:`~oracle_model.Model` and
+    ``row_form`` its ``scipy.sparse`` compilation.
     """
 
     def __init__(
@@ -121,12 +152,16 @@ class ScalarProvisioningBuilder(ProvisioningModelBuilder):
         siting: Mapping[str, str],
         enforce_spread: bool = True,
     ) -> None:
-        super().__init__(problem, siting, enforce_spread=enforce_spread)
-        self._row_form = None
+        self.problem = problem
+        self.siting = dict(siting)
+        self.enforce_spread = enforce_spread
+        self.compiler = ProvisioningCompiler(problem)
+        self.cost_model = self.compiler.cost_model
         self.sites = []
-        self._model = Model(name="provisioning", sense="min")
+        self.model = Model(name="provisioning", sense="min")
         self._objective_terms: List[LinearExpression | float] = []
         self._build()
+        self.row_form = self.model.to_row_form()
 
     def _build(self) -> None:
         problem = self.problem

@@ -60,8 +60,6 @@ def base_lp() -> RowFormLP:
         row_upper=np.array([6.0, 10.0, np.inf]),
         lower=np.zeros(3),
         upper=np.full(3, 20.0),
-        integrality=np.zeros(3, dtype=np.int64),
-        maximise=False,
         objective_constant=0.0,
     )
 

@@ -1,9 +1,11 @@
-"""Property-based tests for the LP/MILP modelling layer."""
+"""Property-based tests for the expression oracle's LP/MILP modelling layer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lpsolver import LinearExpression, Model, SolveStatus
+from repro.lpsolver import SolveStatus
+
+from oracle_model import LinearExpression, Model
 
 
 coefficients = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False)
